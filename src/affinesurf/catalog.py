@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NoMetricError, UnknownModelError
 from .fields import ChristoffelField
+from .lorentz import l2_metric
 
 __all__ = [
     "NamedModel",
@@ -46,11 +47,6 @@ class NamedModel:
 def _h2_metric(p) -> np.ndarray:
     s = 1.0 / float(p[0]) ** 2
     return np.array([[s, 0.0], [0.0, s]])
-
-
-def _l2_metric(p) -> np.ndarray:
-    s = 1.0 / float(p[0]) ** 2
-    return np.array([[-s, 0.0], [0.0, s]])
 
 
 def _pseudosphere_metric(p) -> np.ndarray:
@@ -110,7 +106,7 @@ _STATIC = {
         "L2",
         ChristoffelField.type_b((-1, 0, 0, -1, -1, 0), name="L2"),
         False,
-        metric=_l2_metric,
+        metric=l2_metric,
     ),
     "pseudosphere": lambda: NamedModel(
         "pseudosphere",

@@ -73,7 +73,7 @@ DEFAULTS = {
     },
     "expmap": {
         "cells": 80,
-        "angles": 1024,
+        "angles": 256,
         "tol": 1e-8,
         "tmax": 40.0,
         "format": "csv",

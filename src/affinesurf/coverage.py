@@ -228,7 +228,7 @@ def exp_coverage(
     window,
     cells,
     *,
-    angles: int = 1024,
+    angles: int = 256,
     tol: float = 1e-8,
     t_max: float = 40.0,
 ) -> CoverageMap:
@@ -249,7 +249,5 @@ def exp_coverage(
     else:
         if not field.contains(base):
             raise DomainError("base point is outside the field's chart")
-        grid = _sweep_coverage(
-            field, base, x_edges, y_edges, angles=min(angles, 256), t_max=t_max
-        )
+        grid = _sweep_coverage(field, base, x_edges, y_edges, angles=angles, t_max=t_max)
     return CoverageMap(base=base, x_edges=x_edges, y_edges=y_edges, grid=grid)

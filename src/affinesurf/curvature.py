@@ -31,6 +31,7 @@ from .fields import (
     KIND_A,
     KIND_ANALYTIC,
     KIND_B,
+    _UNPACK,
     ChristoffelField,
     christoffel_at,
     coeffs_to_tensor,
@@ -155,23 +156,20 @@ def _analytic_tensors(field: ChristoffelField, p):
     packed_d = np.asarray(field.dgamma(float(p[0]), float(p[1])), dtype=float)
     if packed_d.shape != (6, 2):
         raise ValueError("analytic dgamma callable must return a 6 x 2 array")
-    dg = np.empty((2, 2, 2, 2))  # dg[d, i, j, k] = d/dx^d of Gamma[i, j, k]
-    slot_of = ((0, 1), (2, 3), (4, 5))  # rows of packed order by (i, j) sorted
-    for d in range(2):
-        for i in range(2):
-            for j in range(2):
-                lo, hi = min(i, j), max(i, j)
-                row = {(0, 0): 0, (0, 1): 1, (1, 1): 2}[(lo, hi)]
-                for k in range(2):
-                    dg[d, i, j, k] = packed_d[slot_of[row][k], d]
+    # dg[d, i, j, k] = d/dx^d of Gamma[i, j, k]
+    dg = np.moveaxis(packed_d[_UNPACK], -1, 0)
     return gam, dg
 
 
 def curvature_at(field: ChristoffelField, p) -> np.ndarray:
-    """Curvature components R[i, j, k, l] at a point, as floats."""
+    """Curvature components R[i, j, k, l] at a point, as floats.
+
+    For kind A the field's shared read-only table is returned.
+    """
     if field.kind in (KIND_A, KIND_B):
         field.require_point(p)
-        return curvature_table(field).at(p)
+        table, power = field._curvature_table
+        return table * float(p[0]) ** (-power) if power else table
     gam, dg = _analytic_tensors(field, p)
     r = np.empty((2, 2, 2, 2))
     for i in range(2):

@@ -9,7 +9,9 @@ patch.  Three kinds are supported:
   together with their first coordinate derivatives.
 
 Coefficients for kinds A and B are exact rationals so that downstream
-curvature tables and zero tests are exact.  The packing order of the six
+curvature tables and zero tests are exact.  Their float tables (Gamma and
+the curvature at x1 = 1) are built once per field, on its first float
+evaluation, and kept on the field.  The packing order of the six
 independent entries is fixed once here and used everywhere:
 
     (c11_1, c11_2, c12_1, c12_2, c22_1, c22_2)
@@ -21,6 +23,7 @@ lower pair is symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -57,6 +60,12 @@ _SLOT_INDEX = {
     (1, 1, 0): 4,
     (1, 1, 1): 5,
 }
+
+# Packed slot of every full-table entry G[i, j, k]: packed[_UNPACK] is G.
+_UNPACK = np.array(
+    [[[_SLOT_INDEX[min(i, j), max(i, j), k] for k in range(2)] for j in range(2)]
+     for i in range(2)]
+)
 
 
 class Point2(NamedTuple):
@@ -160,30 +169,41 @@ class ChristoffelField:
                 f"point {tuple(float(c) for c in p)} outside the x1 > 0 chart of a kind-B field"
             )
 
+    # Float tables of kinds A and B.  cached_property stores them in the
+    # instance dict, so they take no part in equality or hashing.
 
-def _packed_at(field: ChristoffelField, p) -> tuple[float, ...]:
-    """Six packed coefficient values at a point, as floats."""
-    field.require_point(p)
-    if field.kind == KIND_A:
-        return tuple(float(c) for c in field.coeffs)
-    if field.kind == KIND_B:
-        inv = 1.0 / float(p[0])
-        return tuple(float(c) * inv for c in field.coeffs)
-    vals = tuple(field.gamma(float(p[0]), float(p[1])))
-    if len(vals) != 6:
-        raise ValueError("analytic gamma callable must return six values")
-    return tuple(float(v) for v in vals)
+    @cached_property
+    def _gamma_table(self) -> np.ndarray:
+        """Read-only float Gamma at x1 = 1."""
+        return _read_only(np.array([float(c) for c in self.coeffs])[_UNPACK])
+
+    @cached_property
+    def _curvature_table(self) -> tuple[np.ndarray, int]:
+        """Read-only float curvature at x1 = 1 and its power of 1/x1."""
+        from .curvature import curvature_table  # curvature.py imports this module
+
+        table = curvature_table(self)
+        return _read_only(table.as_array()), table.power
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def christoffel_at(field: ChristoffelField, p) -> np.ndarray:
     """Connection coefficients at a point as a (2, 2, 2) array G[i, j, k].
 
     G[i, j, k] is the dx^k component of the covariant derivative of d/dx^j
-    in the d/dx^i direction; the array is symmetric in (i, j).
+    in the d/dx^i direction; the array is symmetric in (i, j).  For kind A
+    the field's shared read-only table is returned.
     """
-    packed = _packed_at(field, p)
-    g = np.empty((2, 2, 2))
-    for (i, j, k), slot in _SLOT_INDEX.items():
-        g[i, j, k] = packed[slot]
-        g[j, i, k] = packed[slot]
-    return g
+    if field.kind == KIND_ANALYTIC:
+        packed = np.array(field.gamma(float(p[0]), float(p[1])), dtype=float)
+        if packed.shape != (6,):
+            raise ValueError("analytic gamma callable must return six values")
+        return packed[_UNPACK]
+    field.require_point(p)
+    if field.kind == KIND_A:
+        return field._gamma_table
+    return field._gamma_table * (1.0 / float(p[0]))

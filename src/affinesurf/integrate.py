@@ -6,9 +6,13 @@ that are awkward to get reliably from the library wrapper:
 
 * steps are clipped so requested sample times are hit exactly (no dense
   interpolant error on top of the step error);
-* right-hand sides may throw or return non-finite values just outside the
-  chart (kind-B fields at x1 <= 0); such stages must reject the step and
-  retry shorter instead of aborting;
+* a stage evaluated just outside the chart or past a pole must reject the
+  step and retry shorter instead of aborting.  Exactly four failures reject
+  a step: the right-hand side raises ``DomainError`` (kind-B fields at
+  x1 <= 0) or ``ArithmeticError`` (overflow, division by zero), or returns
+  an array of the wrong shape or with non-finite entries.  Any other
+  exception, such as a NumPy broadcast ``ValueError``, is a bug and
+  propagates out of ``solve_ode``;
 * when the step size collapses in finite time the integrator reports a
   finite escape-time estimate, distinguishing a finite-time blowup from a
   merely stiff stretch.
@@ -69,17 +73,19 @@ class IntegrationResult:
 
 
 def _rhs_wrapper(f):
-    """Evaluate f, mapping domain failures and non-finite output to None.
+    """Evaluate f, mapping a rejected stage to None.
 
-    A stage evaluated just outside the chart (DomainError) or past a pole
-    (math-domain or overflow errors) rejects the whole step so the
-    controller retries shorter; genuine programming errors still propagate.
+    A stage is rejected, so the controller retries a shorter step, when f
+    raises ``DomainError`` (outside the chart) or ``ArithmeticError``
+    (overflow, division by zero), or returns an array whose shape differs
+    from y's or that holds a non-finite entry.  Every other exception
+    propagates.
     """
 
     def call(t, y):
         try:
             out = np.asarray(f(t, y), dtype=float)
-        except (DomainError, ArithmeticError, ValueError):
+        except (DomainError, ArithmeticError):
             return None
         if out.shape != y.shape or not np.all(np.isfinite(out)):
             return None

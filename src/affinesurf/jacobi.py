@@ -21,37 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .curvature import curvature_at, curvature_table
+from .curvature import curvature_at
 from .errors import FrameDegenerateError, InvalidIVPError
-from .fields import KIND_ANALYTIC, ChristoffelField, christoffel_at
+from .fields import ChristoffelField, christoffel_at
 from .geodesics import _check_ivp, _status_of, geodesic_rhs
 from .integrate import solve_ode
 
 __all__ = ["JacobiSolution", "integrate_jacobi", "conjugate_points"]
-
-
-def _fast_tensors(field: ChristoffelField):
-    """Pointwise Gamma and curvature evaluators without per-call table work."""
-    if field.kind == KIND_ANALYTIC:
-        return (
-            lambda x: christoffel_at(field, x),
-            lambda x: curvature_at(field, x),
-        )
-    g0 = christoffel_at(field, (1.0, 0.0))
-    r_tbl = curvature_table(field)
-    r0 = r_tbl.as_array()
-    if r_tbl.power == 0:
-        return (lambda x: g0, lambda x: r0)
-
-    def gamma(x):
-        if x[0] <= 0.0:
-            raise ValueError("outside chart")
-        return g0 / x[0]
-
-    def curv(x):
-        return r0 / x[0] ** 2
-
-    return gamma, curv
 
 
 def _frame_matrix(y: np.ndarray) -> np.ndarray:
@@ -60,12 +36,10 @@ def _frame_matrix(y: np.ndarray) -> np.ndarray:
 
 
 def _jacobi_rhs(field: ChristoffelField, n_pairs: int):
-    gamma_at, curv_at = _fast_tensors(field)
-
     def f(t, y):
         x = y[0:2]
         v = y[2:4]
-        g = gamma_at(x)
+        g = christoffel_at(field, x)
         out = np.empty_like(y)
         out[0:2] = v
         out[2:4] = -np.einsum("ijk,i,j->k", g, v, v)
@@ -78,9 +52,9 @@ def _jacobi_rhs(field: ChristoffelField, n_pairs: int):
         emat = _frame_matrix(y)
         det = emat[0, 0] * emat[1, 1] - emat[0, 1] * emat[1, 0]
         if abs(det) < 1e-14:
-            raise ValueError("transported frame degenerated")
+            raise FrameDegenerateError("transported frame degenerated")
         inv = np.array([[emat[1, 1], -emat[0, 1]], [-emat[1, 0], emat[0, 0]]]) / det
-        r = curv_at(x)
+        r = curvature_at(field, x)
         # rv[i, l] = components of R(d_i, v) v
         rv = np.einsum("ijkl,j,k->il", r, v, v)
         for m in range(n_pairs):

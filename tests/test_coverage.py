@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from affinesurf import coverage
 from affinesurf.catalog import get_model
 from affinesurf.coverage import (
     REACHED,
@@ -140,6 +141,22 @@ class TestSweepMap:
         assert reached_inside > 50
         # without closed forms the sweep never claims unreachability
         assert cover.counts()["unreached"] == 0
+
+    def test_sweep_launches_every_requested_angle(self, monkeypatch):
+        launched = []
+
+        class Stub:
+            x = np.empty((0, 2))
+
+        def fake(field, base, velocity, t_span, **kwargs):
+            launched.append(velocity)
+            return Stub()
+
+        monkeypatch.setattr(coverage, "integrate_geodesic", fake)
+        exp_coverage(
+            get_model("S3").field, (0.0, 0.0), (-1.0, 1.0, -1.0, 1.0), 4, angles=512
+        )
+        assert len(launched) == 512
 
     def test_sweep_rejects_base_outside_chart(self):
         field = get_model("S4", c=1).field

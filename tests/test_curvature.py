@@ -32,7 +32,7 @@ from affinesurf.curvature import (
     ricci_symmetric_at,
     ricci_table,
 )
-from affinesurf.fields import ChristoffelField, christoffel_at
+from affinesurf.fields import ChristoffelField, as_coeffs, christoffel_at
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -153,6 +153,32 @@ def test_kind_a_homogeneity(coeffs, lam):
             for k in range(2):
                 for l in range(2):
                     assert scaled[i][j][k][l] == lam * lam * base[i][j][k][l]
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+@given(
+    coeffs=st.tuples(*[rationals] * 6),
+    x1=st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=24),
+)
+def test_curvature_at_matches_exact_fraction_oracle(kind, coeffs, x1):
+    # oracle: the exact table times x1**(-power), evaluated in Fraction
+    # arithmetic at the exact value of the float point, rounded once
+    field = ChristoffelField(kind=kind, coeffs=as_coeffs(coeffs))
+    x1f = float(x1)
+    got = curvature_at(field, (x1f, 2.5))
+    exact_table = curvature_table(field)
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        exact = exact_table.table[i][j][k][l] / Fraction(x1f) ** exact_table.power
+        gap = abs(Fraction(float(got[i, j, k, l])) - exact)
+        assert gap <= 2 * Fraction(float(np.spacing(abs(float(exact))))), (i, j, k, l)
+
+
+def test_kind_a_curvature_is_shared_and_read_only():
+    field = ChristoffelField.type_a((1, 2, 0, 1, 3, 0))
+    r = curvature_at(field, (0.0, 0.0))
+    assert curvature_at(field, (5.0, 5.0)) is r
+    with pytest.raises(ValueError):
+        r[0, 1, 0, 0] = 99.0
 
 
 def test_scaled_table_evaluation():

@@ -23,6 +23,7 @@ from affinesurf.fields import (
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
+chart_x1 = st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=24)
 
 
 def test_coeff_names_order():
@@ -69,6 +70,38 @@ def test_kind_b_scales_like_inverse_x1(coeffs, x1):
     a = christoffel_at(fa, (x1, -1.3))
     b = christoffel_at(fb, (x1, -1.3))
     assert np.allclose(b, a / x1, rtol=0.0, atol=1e-14 * (1.0 + np.max(np.abs(a))))
+
+
+@pytest.mark.parametrize("kind,power", [("A", 0), ("B", 1)])
+@given(coeffs=st.tuples(*[rationals] * 6), x1=chart_x1)
+def test_christoffel_at_matches_exact_fraction_oracle(kind, power, coeffs, x1):
+    # oracle: Gamma = table / x1**power in Fraction arithmetic at the exact
+    # value of the float point, rounded once at the end
+    field = ChristoffelField(kind=kind, coeffs=as_coeffs(coeffs))
+    x1f = float(x1)
+    got = christoffel_at(field, (x1f, -0.7))
+    table = coeffs_to_tensor(field.coeffs)
+    for i, j, k in np.ndindex(2, 2, 2):
+        exact = table[i][j][k] / Fraction(x1f) ** power
+        gap = abs(Fraction(float(got[i, j, k])) - exact)
+        assert gap <= 2 * Fraction(float(np.spacing(abs(float(exact))))), (i, j, k)
+
+
+def test_kind_a_table_is_shared_and_read_only():
+    field = ChristoffelField.type_a((2, 3, 5, 7, 11, 13))
+    g = christoffel_at(field, (0.0, 0.0))
+    assert christoffel_at(field, (4.0, -1.0)) is g
+    with pytest.raises(ValueError):
+        g[0, 0, 0] = 99.0
+    assert christoffel_at(field, (0.0, 0.0))[0, 0, 0] == 2.0
+
+
+def test_float_tables_leave_equality_and_hash_alone():
+    used = ChristoffelField.type_b((1, 0, "1/2", 0, -1, 3), name="b")
+    christoffel_at(used, (2.0, 0.0))
+    fresh = ChristoffelField.type_b((1, 0, "1/2", 0, -1, 3), name="b")
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
 
 
 def test_kind_b_domain_is_right_half_plane():

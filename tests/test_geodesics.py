@@ -30,6 +30,16 @@ def test_flat_geodesics_are_straight_lines():
     assert np.allclose(traj.v, np.tile([1.0, -2.0], (len(traj.t), 1)), atol=1e-10)
 
 
+def test_analytic_gamma_with_five_values_raises():
+    # flat until x1 = 1.5, then the callable drops a coefficient
+    field = ChristoffelField.analytic(
+        lambda x1, x2: (0.0,) * (6 if x1 < 1.5 else 5),
+        lambda x1, x2: np.zeros((6, 2)),
+    )
+    with pytest.raises(ValueError, match="six values"):
+        integrate_geodesic(field, (1.0, 0.0), (1.0, 0.0), 2.0)
+
+
 def test_rhs_packs_velocity_then_acceleration():
     f = geodesic_rhs(get_model("S1").field)
     # S1: xdd1 = (v1)**2 + v1*v2, xdd2 = 0

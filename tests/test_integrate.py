@@ -73,6 +73,16 @@ def test_rhs_domain_error_means_stalled_not_crash():
     assert abs(res.ys[-1][0]) < 1e-6
 
 
+def test_rhs_programming_error_raises_instead_of_stalling():
+    def f(t, y):
+        if t > 0.5:
+            return -y + np.ones(3)  # broadcast bug: y has two entries
+        return -y
+
+    with pytest.raises(ValueError, match="broadcast"):
+        solve_ode(f, 0.0, [1.0, 2.0], 2.0)
+
+
 def test_rhs_nan_is_rejected_like_an_exception():
     def f(t, y):
         v = 1.0 - y[0]

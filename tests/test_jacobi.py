@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from affinesurf.catalog import get_model
-from affinesurf.errors import FrameDegenerateError, InvalidIVPError
+from affinesurf.errors import DomainError, FrameDegenerateError, InvalidIVPError
 from affinesurf.fields import ChristoffelField
-from affinesurf.jacobi import conjugate_points, integrate_jacobi
+from affinesurf.jacobi import _jacobi_rhs, conjugate_points, integrate_jacobi
 from affinesurf.lorentz import l2_inner
 
 L2 = get_model("L2")
@@ -104,6 +104,13 @@ def test_degenerate_frame_is_rejected():
             L2.field, (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0), 1.0,
             frame=((1.0, 0.0), (2.0, 0.0)),
         )
+
+
+@pytest.mark.parametrize("x1", [0.0, -0.5])
+def test_kind_b_rhs_outside_chart_raises_domain_error(x1):
+    y = np.array([x1, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    with pytest.raises(DomainError):
+        _jacobi_rhs(L2.field, 1)(0.0, y)
 
 
 def test_bad_ivp_propagates():

@@ -25,7 +25,9 @@ from scipy.optimize import brentq
 from .catalog import get_model
 from .errors import DomainError
 from .fields import ChristoffelField
-from .geodesics import integrate_geodesic
+# The sweep runs integrate_geodesics; integrate_geodesic stays a module
+# attribute for tools that wrap it here, such as benchmarks/tracing.py.
+from .geodesics import integrate_geodesic, integrate_geodesics  # noqa: F401
 from .lorentz import fit_l2_geodesic
 
 __all__ = [
@@ -212,13 +214,14 @@ def _sweep_coverage(
     field: ChristoffelField, base, x_edges, y_edges, *, angles: int, t_max: float
 ) -> np.ndarray:
     grid = np.full((len(x_edges) - 1, len(y_edges) - 1), UNKNOWN, dtype=int)
-    for k in range(angles):
-        th = 2.0 * math.pi * k / angles
-        traj = integrate_geodesic(
-            field, base, (math.cos(th), math.sin(th)), (-t_max, t_max),
-            samples=401, rtol=1e-8, atol=1e-10,
-        )
-        _mark_samples(grid, x_edges, y_edges, traj.x)
+    thetas = (2.0 * math.pi * k / angles for k in range(angles))
+    velocities = [(math.cos(th), math.sin(th)) for th in thetas]
+    runs = integrate_geodesics(
+        field, base, velocities, (-t_max, t_max), samples=401, rtol=1e-8, atol=1e-10
+    )
+    for run in runs:
+        filled = np.arange(run.sample_ts.size) < run.n_samples[:, np.newaxis]
+        _mark_samples(grid, x_edges, y_edges, run.sample_ys[filled, 0:2])
     return grid
 
 

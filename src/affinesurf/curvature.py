@@ -199,11 +199,13 @@ def nabla_ricci_at(field: ChristoffelField, p) -> np.ndarray:
 
     First index is the differentiation direction.  Analytic charts use a
     fourth-order five-point stencil for the coordinate derivative of rho;
-    kinds A and B evaluate the exact table.
+    kinds A and B scale the field's float copy of the exact table, and kind
+    A returns that shared read-only table.
     """
     if field.kind in (KIND_A, KIND_B):
         field.require_point(p)
-        return nabla_ricci_table(field).at(p)
+        table, power = field._nabla_ricci_table
+        return table * float(p[0]) ** (-power) if power else table
     x1, x2 = float(p[0]), float(p[1])
     gam = christoffel_at(field, p)
     rho = ricci_at(field, p)

@@ -9,10 +9,11 @@ patch.  Three kinds are supported:
   together with their first coordinate derivatives.
 
 Coefficients for kinds A and B are exact rationals so that downstream
-curvature tables and zero tests are exact.  Their float tables (Gamma and
-the curvature at x1 = 1) are built once per field, on its first float
-evaluation, and kept on the field.  The packing order of the six
-independent entries is fixed once here and used everywhere:
+curvature tables and zero tests are exact.  Their float tables (Gamma, the
+curvature and the covariant Ricci derivative at x1 = 1) are built once per
+field, on its first float evaluation, and kept on the field.  The packing
+order of the six independent entries is fixed once here and used
+everywhere:
 
     (c11_1, c11_2, c12_1, c12_2, c22_1, c22_2)
 
@@ -185,6 +186,14 @@ class ChristoffelField:
         table = curvature_table(self)
         return _read_only(table.as_array()), table.power
 
+    @cached_property
+    def _nabla_ricci_table(self) -> tuple[np.ndarray, int]:
+        """Read-only float covariant Ricci derivative at x1 = 1 and its power of 1/x1."""
+        from .curvature import nabla_ricci_table
+
+        table = nabla_ricci_table(self)
+        return _read_only(table.as_array()), table.power
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -197,7 +206,13 @@ def christoffel_at(field: ChristoffelField, p) -> np.ndarray:
     G[i, j, k] is the dx^k component of the covariant derivative of d/dx^j
     in the d/dx^i direction; the array is symmetric in (i, j).  For kind A
     the field's shared read-only table is returned.
+
+    ``p`` may also be an (n, 2) array of points, which gives an (n, 2, 2, 2)
+    array with the same values row by row.  NaN coordinates raise no error:
+    a kind-B row with x1 = NaN gives NaN coefficients.
     """
+    if isinstance(p, np.ndarray) and p.ndim == 2:
+        return _christoffel_rows(field, p)
     if field.kind == KIND_ANALYTIC:
         packed = np.array(field.gamma(float(p[0]), float(p[1])), dtype=float)
         if packed.shape != (6,):
@@ -207,3 +222,17 @@ def christoffel_at(field: ChristoffelField, p) -> np.ndarray:
     if field.kind == KIND_A:
         return field._gamma_table
     return field._gamma_table * (1.0 / float(p[0]))
+
+
+def _christoffel_rows(field: ChristoffelField, p: np.ndarray) -> np.ndarray:
+    n = p.shape[0]
+    if field.kind == KIND_ANALYTIC:
+        packed = np.array([field.gamma(a, b) for a, b in p.tolist()], dtype=float)
+        if packed.shape != (n, 6):
+            raise ValueError("analytic gamma callable must return six values")
+        return packed[:, _UNPACK]
+    if field.kind == KIND_A:
+        return np.repeat(field._gamma_table[np.newaxis], n, axis=0)
+    if (p[:, 0] <= 0.0).any():
+        raise DomainError("a point lies outside the x1 > 0 chart of a kind-B field")
+    return field._gamma_table * (1.0 / p[:, 0:1, np.newaxis, np.newaxis])

@@ -17,13 +17,15 @@ import numpy as np
 
 from .errors import InvalidIVPError
 from .fields import KIND_B, ChristoffelField, Point2, christoffel_at
-from .integrate import IntegrationResult, solve_ode
+from .integrate import BatchResult, IntegrationResult, solve_ode, solve_ode_batch
 
 __all__ = [
     "GeodesicTrajectory",
     "Incomplete",
     "geodesic_rhs",
+    "geodesic_rhs_batch",
     "integrate_geodesic",
+    "integrate_geodesics",
     "exp_map",
     "write_trajectory_csv",
 ]
@@ -40,6 +42,25 @@ def geodesic_rhs(field: ChristoffelField) -> Callable:
         v = y[2:4]
         acc = -np.einsum("ijk,i,j->k", g, v, v)
         return np.array([y[2], y[3], acc[0], acc[1]])
+
+    return f
+
+
+def geodesic_rhs_batch(field: ChristoffelField) -> Callable:
+    """``geodesic_rhs`` for n states at once, the rows of y (n, 4).
+
+    A row outside the chart of a kind-B field gets NaN derivatives, which
+    make ``solve_ode_batch`` reject that row's step alone.
+    """
+
+    def f(t, y):
+        x = y[:, 0:2]
+        if field.kind == KIND_B:
+            x = np.where(x[:, 0:1] > 0.0, x, np.nan)
+        g = christoffel_at(field, x)
+        v = y[:, 2:4]
+        acc = -np.einsum("nijk,ni,nj->nk", g, v, v)
+        return np.concatenate((v, acc), axis=1)
 
     return f
 
@@ -106,6 +127,19 @@ def _normalize_span(t_span) -> tuple[float, float]:
     return (lo, hi)
 
 
+def _sample_times(lo: float, hi: float, samples: int) -> tuple[list, list]:
+    """Sample times of the backward run (0 down to lo) and the forward run
+    (0 up to hi) over ``samples`` evenly spaced times on [lo, hi]."""
+    if samples < 2:
+        raise InvalidIVPError("need at least two sample times")
+    grid = np.linspace(lo, hi, samples)
+    back = [t for t in grid[::-1] if t <= 0.0]
+    fwd = [t for t in grid if t >= 0.0]
+    if not fwd or fwd[0] != 0.0:
+        fwd = [0.0] + fwd
+    return back, fwd
+
+
 def integrate_geodesic(
     field: ChristoffelField,
     point,
@@ -127,8 +161,6 @@ def integrate_geodesic(
     """
     p, v = _check_ivp(field, point, velocity)
     lo, hi = _normalize_span(t_span)
-    if samples < 2:
-        raise InvalidIVPError("need at least two sample times")
     rhs = geodesic_rhs(field)
     y0 = np.array([p[0], p[1], v[0], v[1]])
 
@@ -136,7 +168,7 @@ def integrate_geodesic(
     if chart_floor > 0.0 and field.kind == KIND_B:
         guard = lambda t, y: "left_chart" if y[0] <= chart_floor else None
 
-    grid = np.linspace(lo, hi, samples)
+    back_eval, fwd_eval = _sample_times(lo, hi, samples)
 
     def run(t_end, t_eval):
         return solve_ode(
@@ -159,16 +191,12 @@ def integrate_geodesic(
     parts_y: list[np.ndarray] = []
 
     if lo < 0.0:
-        back_eval = [t for t in grid[::-1] if t <= 0.0]
         res_b = run(lo, back_eval)
         status_b = _status_of(field, res_b)
         esc_b = res_b.t_escape
         parts_t.append(res_b.sample_ts[::-1])
         parts_y.append(res_b.sample_ys[::-1])
     if hi > 0.0:
-        fwd_eval = [t for t in grid if t >= 0.0]
-        if not fwd_eval or fwd_eval[0] != 0.0:
-            fwd_eval = [0.0] + fwd_eval
         res_f = run(hi, fwd_eval)
         status_f = _status_of(field, res_f)
         esc_f = res_f.t_escape
@@ -189,6 +217,37 @@ def integrate_geodesic(
         result_forward=res_f,
         result_backward=res_b,
     )
+
+
+def integrate_geodesics(
+    field: ChristoffelField,
+    point,
+    velocities,
+    t_span,
+    *,
+    samples: int = 201,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    max_steps: int = 500_000,
+) -> list[BatchResult]:
+    """Integrate the geodesics from one point along each row of ``velocities``.
+
+    Row r takes the steps ``integrate_geodesic(field, point, velocities[r],
+    t_span, ...)`` takes, with the same sample times, but all rows are
+    stepped together by ``solve_ode_batch``.  Returns the backward run (0
+    down to t_min) when t_min < 0, then the forward run (0 up to t_max)
+    when t_max > 0.
+    """
+    p = _check_ivp(field, point, (0.0, 0.0))[0]
+    y0 = np.array([p + _check_ivp(field, p, v)[1] for v in velocities]).reshape(-1, 4)
+    lo, hi = _normalize_span(t_span)
+    back_eval, fwd_eval = _sample_times(lo, hi, samples)
+    rhs = geodesic_rhs_batch(field)
+    return [
+        solve_ode_batch(rhs, 0.0, y0, t_end, t_eval, rtol=rtol, atol=atol, max_steps=max_steps)
+        for t_end, t_eval in ((lo, back_eval), (hi, fwd_eval))
+        if t_end != 0.0
+    ]
 
 
 @dataclass(frozen=True)

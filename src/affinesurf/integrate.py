@@ -20,6 +20,20 @@ that are awkward to get reliably from the library wrapper:
 Statuses: ``"reached"`` (hit t_end), ``"blowup"`` (norm above the cap with
 collapsed steps), ``"stalled"`` (steps collapsed with bounded norm), or any
 string returned by the caller's guard.
+
+Two loops share this step policy.  ``solve_ode`` steps one initial value
+problem; ``solve_ode_batch`` steps n of them as the rows of one (n, d) array,
+each row with its own step size, samples and stop, so a row takes exactly
+the steps ``solve_ode`` takes for it alone.  The tableau, the first-step
+heuristic, the error norm, the step factor, the blowup-vs-stalled diagnosis
+and the escape extrapolation are the helpers below; only the loop bodies
+exist twice.  ``solve_ode`` is not the n = 1 case of the batched loop
+because the batched bookkeeping (masks, compaction of stopped rows, per-row
+arrays, the row-wise right-hand side) costs more than one small state is
+worth: on a 2-core x86-64 host, single H2, S2, S3~ and S1 geodesics to
+|t| = 50 at rtol 1e-8 and 1e-10 took 1.3 to 1.9 times as long through
+``solve_ode_batch`` as through ``solve_ode``, while a 96-row sweep runs
+about twenty times faster than its rows one by one.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 
-__all__ = ["IntegrationResult", "solve_ode"]
+__all__ = ["BatchResult", "IntegrationResult", "solve_ode", "solve_ode_batch"]
 
 # Dormand-Prince 5(4) tableau.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -55,6 +69,75 @@ _B4 = (
     187.0 / 2100.0,
     1.0 / 40.0,
 )
+# The same tableau as (stage, weight) pairs: the stage increments, the
+# fifth-order solution and the embedded error estimate.
+_STAGE = tuple(tuple(enumerate(row)) for row in _A)
+_SOLUTION = tuple((i, b) for i, b in enumerate(_B5) if b != 0.0)
+_ERROR = tuple((i, _B5[i] - _B4[i]) for i in range(7) if _B5[i] != _B4[i])
+
+_BLOWUP_NORM = 1e8
+_MIN_STEP = 1e-12
+
+
+def _weighted(pairs, k):
+    """Sum of weight * k[stage] over (stage, weight) pairs, in stage order."""
+    return sum(w * k[j] for j, w in pairs)
+
+
+def _eval_times(t_eval, t0: float, t_end: float, direction: float) -> list[float]:
+    times = [] if t_eval is None else [float(t) for t in t_eval]
+    for a, b in zip(times, times[1:]):
+        if (b - a) * direction <= 0:
+            raise IntegrationError("t_eval must be strictly monotone toward t_end")
+    if times and ((times[0] - t0) * direction < 0 or (t_end - times[-1]) * direction < 0):
+        raise IntegrationError("t_eval must lie within [t0, t_end]")
+    return times
+
+
+def _first_step(y, k1, span: float, rtol: float, atol: float) -> float:
+    """Initial step from the sizes of y and y' (Hairer, Norsett & Wanner, II.4)."""
+    scale = atol + rtol * np.abs(y)
+    d0 = np.sqrt(np.mean((y / scale) ** 2))
+    d1 = np.sqrt(np.mean((k1 / scale) ** 2))
+    h = 0.01 * d0 / d1 if d1 > 1e-8 and d0 > 1e-8 else span * 1e-4
+    return min(h, span * 0.1)
+
+
+def _error_norm(err, y, y5, rtol: float, atol: float):
+    """RMS of the error estimate over the mixed tolerance, along the last axis."""
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+    # np.mean in two ufunc calls: the same bits without its Python overhead
+    return np.sqrt(np.add.reduce((err / scale) ** 2, axis=-1) / err.shape[-1])
+
+
+def _step_factor(err_norm: float) -> float:
+    """Ratio of the next step to this one: 0.9 * err_norm**(-1/5) within [0.2, 5].
+
+    An accepted step (err_norm <= 1) never shrinks the next one below 0.9
+    and a rejected step never grows it, so one clip serves both.
+    """
+    return 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+
+
+def _diagnose(y, blowup_norm: float) -> tuple[str, float]:
+    """Stop status of collapsed steps, from the size of the state."""
+    norm = float(np.max(np.abs(y)))
+    return ("blowup" if norm >= blowup_norm else "stalled"), norm
+
+
+def _escape_time(t: float, direction: float, prev_h: float, last_h: float) -> float:
+    """Stop time extrapolated from the last two accepted steps.
+
+    Steps that shrink by a ratio r < 0.95 are summed as a geometric series;
+    otherwise one more step is added.  Without two accepted steps
+    (``prev_h`` is NaN) the stop time itself is returned.
+    """
+    if not prev_h > 0.0:
+        return t
+    r = last_h / prev_h
+    if 0.0 < r < 0.95:
+        return t + direction * last_h * r / (1.0 - r)
+    return t + direction * last_h
 
 
 @dataclass
@@ -70,6 +153,28 @@ class IntegrationResult:
     t_escape: float | None
     nfev: int
     message: str = ""
+
+
+@dataclass
+class BatchResult:
+    """Samples and stop diagnosis of the rows of one ``solve_ode_batch`` run.
+
+    Row r was sampled at ``sample_ts[:n_samples[r]]``; its samples are
+    ``sample_ys[r, :n_samples[r]]`` and the rest of the row is NaN.  The other
+    per-row entries mean what the fields of the same name of
+    ``IntegrationResult`` mean, with ``y_final`` the last accepted state.
+    No step history is kept.
+    """
+
+    sample_ts: np.ndarray
+    sample_ys: np.ndarray
+    n_samples: np.ndarray
+    y_final: np.ndarray
+    t_final: np.ndarray
+    status: list[str]
+    t_escape: list[float | None]
+    nfev: np.ndarray
+    message: list[str]
 
 
 def _rhs_wrapper(f):
@@ -106,8 +211,8 @@ def solve_ode(
     first_step: float | None = None,
     t_eval=None,
     guard: Callable | None = None,
-    blowup_norm: float = 1e8,
-    min_step: float = 1e-12,
+    blowup_norm: float = _BLOWUP_NORM,
+    min_step: float = _MIN_STEP,
     max_steps: int = 500_000,
 ) -> IntegrationResult:
     """Integrate y' = f(t, y) from t0 to t_end with adaptive steps.
@@ -137,15 +242,7 @@ def solve_ode(
         )
     direction = 1.0 if t_end > t0 else -1.0
     span = abs(t_end - t0)
-
-    eval_times = [] if t_eval is None else [float(t) for t in t_eval]
-    for a, b in zip(eval_times, eval_times[1:]):
-        if (b - a) * direction <= 0:
-            raise IntegrationError("t_eval must be strictly monotone toward t_end")
-    if eval_times and (
-        (eval_times[0] - t0) * direction < 0 or (t_end - eval_times[-1]) * direction < 0
-    ):
-        raise IntegrationError("t_eval must lie within [t0, t_end]")
+    eval_times = _eval_times(t_eval, t0, t_end, direction)
 
     rhs = _rhs_wrapper(f)
     nfev = 0
@@ -156,11 +253,7 @@ def solve_ode(
         raise IntegrationError("right-hand side is undefined at the initial state")
 
     if first_step is None:
-        scale = atol + rtol * np.abs(y)
-        d0 = np.sqrt(np.mean((y / scale) ** 2))
-        d1 = np.sqrt(np.mean((k1 / scale) ** 2))
-        h = 0.01 * d0 / d1 if d1 > 1e-8 and d0 > 1e-8 else span * 1e-4
-        h = min(h, span * 0.1, max_step)
+        h = min(_first_step(y, k1, span, rtol, atol), max_step)
     else:
         h = min(abs(first_step), span, max_step)
     h = max(h, min_step)
@@ -178,8 +271,7 @@ def solve_ode(
 
     status = "reached"
     message = ""
-    prev_h = None
-    last_h = None
+    prev_h = last_h = math.nan
 
     k = [None] * 7
     k[0] = k1
@@ -201,52 +293,44 @@ def solve_ode(
 
         if h_clip < min_step and not hit_eval:
             # steps have collapsed: diagnose and extrapolate the stop time
-            norm = float(np.max(np.abs(y)))
-            status = "blowup" if norm >= blowup_norm else "stalled"
+            status, norm = _diagnose(y, blowup_norm)
             message = f"step collapsed to {h_clip:.3e} at t={t:.12g} (|y|={norm:.3e})"
             break
         if t + h_signed == t:
-            norm = float(np.max(np.abs(y)))
-            status = "blowup" if norm >= blowup_norm else "stalled"
+            status, _ = _diagnose(y, blowup_norm)
             message = f"step underflow at t={t:.12g}"
             break
 
         failed = False
         for i in range(1, 7):
-            yi = y + h_signed * sum(_A[i][j] * k[j] for j in range(i))
-            ki = rhs(t + _C[i] * h_signed, yi)
+            ki = rhs(t + _C[i] * h_signed, y + h_signed * _weighted(_STAGE[i], k))
             nfev += 1
             if ki is None:
                 failed = True
                 break
             k[i] = ki
         if not failed:
-            y5 = y + h_signed * sum(_B5[i] * k[i] for i in range(7) if _B5[i] != 0.0)
-            err = h_signed * sum(
-                (_B5[i] - _B4[i]) * k[i] for i in range(7) if _B5[i] != _B4[i]
-            )
-            if not np.all(np.isfinite(y5)):
-                failed = True
+            y5 = y + h_signed * _weighted(_SOLUTION, k)
+            err = h_signed * _weighted(_ERROR, k)
+            failed = not np.all(np.isfinite(y5))
 
         if failed:
             h = h_clip * 0.2
             if h < min_step:
-                norm = float(np.max(np.abs(y)))
-                status = "blowup" if norm >= blowup_norm else "stalled"
+                status, _ = _diagnose(y, blowup_norm)
                 message = f"right-hand side failed near t={t:.12g}"
                 # the stop is within the collapsed attempt of t, not a full
                 # accepted step: do not extrapolate from the step history
-                prev_h, last_h = None, h
+                prev_h = math.nan
                 break
             continue
 
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        err_norm = float(_error_norm(err, y, y5, rtol, atol))
         if err_norm <= 1.0:
             prev_h, last_h = last_h, h_clip
             t = t + h_signed
             y = y5
-            k[0] = k[6] if k[6] is not None else rhs(t, y)
+            k[0] = k[6]
             knots_t.append(t)
             knots_y.append(y.copy())
             if hit_eval and abs(t - eval_times[eval_idx]) <= 1e-12 * max(1.0, abs(t)):
@@ -259,24 +343,14 @@ def solve_ode(
                     status = verdict
                     message = f"guard stopped integration at t={t:.12g}"
                     break
-            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            h = h_clip * factor
-        else:
-            h = h_clip * min(1.0, max(0.2, 0.9 * err_norm ** -0.2))
+        h = h_clip * _step_factor(err_norm)
     else:
         status = "stalled"
         message = f"step budget {max_steps} exhausted at t={t:.12g}"
 
     t_escape = None
     if status in ("blowup", "stalled"):
-        # geometric extrapolation of the collapsing accepted steps
-        t_escape = t
-        if last_h is not None and prev_h is not None and prev_h > 0.0:
-            r = last_h / prev_h
-            if 0.0 < r < 0.95:
-                t_escape = t + direction * last_h * r / (1.0 - r)
-            else:
-                t_escape = t + direction * last_h
+        t_escape = _escape_time(t, direction, prev_h, last_h)
 
     if t_eval is None:
         sample_ts = np.array(knots_t)
@@ -298,3 +372,188 @@ def solve_ode(
         nfev=nfev,
         message=message,
     )
+
+
+class _Rows:
+    """Per-row state of the rows a batched run is still stepping."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def drop(self, mask) -> None:
+        """Remove the rows in ``mask``, keeping every array contiguous."""
+        keep = ~mask
+        self.__dict__ = {name: a[keep] for name, a in vars(self).items()}
+
+
+def _rows_rhs(f, t, y):
+    out = np.asarray(f(t, y), dtype=float)
+    if out.shape != y.shape:
+        raise IntegrationError(
+            f"batched right-hand side returned shape {out.shape} for states {y.shape}"
+        )
+    return out
+
+
+def solve_ode_batch(
+    f: Callable,
+    t0: float,
+    y0,
+    t_end: float,
+    t_eval,
+    *,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    max_steps: int = 500_000,
+) -> BatchResult:
+    """Integrate n systems y' = f(t, y), the rows of y0 (n, d), from t0 to t_end.
+
+    Every row is stepped as ``solve_ode`` steps it alone with the same
+    arguments: same step sizes, samples at the ``t_eval`` times, statuses
+    and escape estimates.  ``f(t, y)`` receives the times (k,) and states
+    (k, d) of the k rows still running and returns their derivatives (k, d).
+    A row whose derivative holds a non-finite entry, for instance one left
+    NaN because its stage lies outside the chart, has its step rejected
+    alone, as a ``DomainError`` would in ``solve_ode``.  Every exception
+    ``f`` raises propagates: it cannot be pinned on one row.
+    """
+    y = np.array(y0, dtype=float)
+    if y.ndim != 2:
+        raise IntegrationError("batched states must have shape (n, d)")
+    if not np.all(np.isfinite(y)):
+        raise IntegrationError("initial state is not finite")
+    if t_end == t0:
+        raise IntegrationError("batched integration needs t_end != t0")
+    n, d = y.shape
+    t0 = float(t0)
+    direction = 1.0 if t_end > t0 else -1.0
+    span = abs(t_end - t0)
+    eval_times = _eval_times(t_eval, t0, t_end, direction)
+    targets = np.array(eval_times + [math.nan])  # NaN past the last: never hit
+
+    k1 = _rows_rhs(f, np.full(n, t0), y)
+    if not np.all(np.isfinite(k1)):
+        raise IntegrationError("right-hand side is undefined at the initial state")
+    h = [max(_first_step(y[r], k1[r], span, rtol, atol), _MIN_STEP) for r in range(n)]
+    at_t0 = 0
+    while at_t0 < len(eval_times) and eval_times[at_t0] == t0:
+        at_t0 += 1
+
+    sample_ys = np.full((n, len(eval_times), d), math.nan)
+    sample_ys[:, :at_t0] = y[:, np.newaxis, :]
+    res = BatchResult(
+        sample_ts=np.array(eval_times),
+        sample_ys=sample_ys,
+        n_samples=np.zeros(n, dtype=int),
+        y_final=np.empty((n, d)),
+        t_final=np.empty(n),
+        status=[""] * n,
+        t_escape=[None] * n,
+        nfev=np.zeros(n, dtype=int),
+        message=[""] * n,
+    )
+    s = _Rows(
+        row=np.arange(n), t=np.full(n, t0), y=y, k0=k1, h=np.array(h),
+        idx=np.full(n, at_t0), nfev=np.ones(n, dtype=int),
+        prev_h=np.full(n, math.nan), last_h=np.full(n, math.nan),
+    )
+
+    def stop(mask, verdict) -> None:
+        """Record the rows in mask as stopped; verdict(i) names live row i's stop."""
+        for i in np.flatnonzero(mask).tolist():
+            r = s.row[i]
+            t = float(s.t[i])
+            status, res.message[r] = verdict(i)
+            res.status[r] = status
+            res.t_final[r] = t
+            res.y_final[r] = s.y[i]
+            res.nfev[r] = s.nfev[i]
+            res.n_samples[r] = s.idx[i]
+            if status != "reached":
+                res.t_escape[r] = _escape_time(
+                    t, direction, float(s.prev_h[i]), float(s.last_h[i]))
+
+    def collapsed(i):
+        status, norm = _diagnose(s.y[i], _BLOWUP_NORM)
+        return status, f"step collapsed to {h_clip[i]:.3e} at t={s.t[i]:.12g} (|y|={norm:.3e})"
+
+    # All rows start together, so every live row has been through as many
+    # iterations as the loop, and one counter serves as each row's budget.
+    # Rows that fail go on through the rest of their step on values that are
+    # thrown away; their overflows are not worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_steps):
+            if not s.row.size:
+                break
+            # the checks solve_ode makes before a step, in its order
+            remaining = t_end - s.t
+            reached = remaining * direction <= 0
+            h_clip = np.minimum(s.h, np.abs(remaining))
+            to_eval = np.abs(targets[s.idx] - s.t)
+            hit = to_eval <= h_clip * (1 + 1e-12)
+            h_clip = np.where(hit, to_eval, h_clip)
+            h_signed = direction * h_clip
+            short = (h_clip < _MIN_STEP) & ~hit
+            halt = reached | short | (s.t + h_signed == s.t)
+            if halt.any():
+                short &= ~reached
+                stop(reached, lambda i: ("reached", ""))
+                stop(short, collapsed)
+                stop(halt & ~reached & ~short, lambda i: (
+                    _diagnose(s.y[i], _BLOWUP_NORM)[0], f"step underflow at t={s.t[i]:.12g}"))
+                s.drop(halt)
+                keep = ~halt
+                h_clip, hit, h_signed = h_clip[keep], hit[keep], h_signed[keep]
+                if not s.row.size:
+                    break
+
+            hs = h_signed[:, np.newaxis]
+            stage_t = s.t + np.multiply.outer(_C, h_signed)
+            k = [s.k0] + [None] * 6
+            for i in range(1, 7):
+                k[i] = _rows_rhs(f, stage_t[i], s.y + hs * _weighted(_STAGE[i], k))
+            y5 = s.y + hs * _weighted(_SOLUTION, k)
+            finite = np.isfinite(np.stack(k[1:] + [y5])).all(axis=2)
+            failed = ~finite.all(axis=0)
+            any_failed = failed.any()
+            if any_failed:
+                # solve_ode stops evaluating at the first failing stage; a
+                # non-finite solution (row 6 of finite) comes after all six
+                s.nfev += np.where(failed, np.minimum(np.argmin(finite, axis=0) + 1, 6), 6)
+            else:
+                s.nfev += 6
+
+            err_norm = _error_norm(hs * _weighted(_ERROR, k), s.y, y5, rtol, atol)
+            factor = np.array([_step_factor(e) for e in err_norm.tolist()])
+            s.h = h_clip * (np.where(failed, 0.2, factor) if any_failed else factor)
+            accept = err_norm <= 1.0
+            if any_failed:
+                accept &= ~failed
+            if accept.all():
+                s.prev_h, s.last_h = s.last_h, h_clip
+                s.t, s.y, s.k0 = s.t + h_signed, y5, k[6]
+            elif accept.any():
+                s.prev_h = np.where(accept, s.last_h, s.prev_h)
+                s.last_h = np.where(accept, h_clip, s.last_h)
+                s.t = np.where(accept, s.t + h_signed, s.t)
+                s.y = np.where(accept[:, np.newaxis], y5, s.y)
+                s.k0 = np.where(accept[:, np.newaxis], k[6], s.k0)
+            sampled = accept & hit & (
+                np.abs(s.t - targets[s.idx]) <= 1e-12 * np.maximum(1.0, np.abs(s.t)))
+            res.sample_ys[s.row[sampled], s.idx[sampled]] = s.y[sampled]
+            s.idx = s.idx + sampled
+
+            if any_failed:
+                gave_up = failed & (s.h < _MIN_STEP)
+                if gave_up.any():
+                    # the stop lies within the collapsed attempt, not a
+                    # full accepted step: do not extrapolate from the
+                    # step history
+                    s.prev_h = np.where(gave_up, math.nan, s.prev_h)
+                    stop(gave_up, lambda i: (_diagnose(s.y[i], _BLOWUP_NORM)[0],
+                                             f"right-hand side failed near t={s.t[i]:.12g}"))
+                    s.drop(gave_up)
+        else:
+            stop(np.ones(s.row.size, dtype=bool), lambda i: (
+                "stalled", f"step budget {max_steps} exhausted at t={s.t[i]:.12g}"))
+    return res

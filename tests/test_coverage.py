@@ -145,14 +145,11 @@ class TestSweepMap:
     def test_sweep_launches_every_requested_angle(self, monkeypatch):
         launched = []
 
-        class Stub:
-            x = np.empty((0, 2))
+        def fake(field, base, velocities, t_span, **kwargs):
+            launched.extend(velocities)
+            return []
 
-        def fake(field, base, velocity, t_span, **kwargs):
-            launched.append(velocity)
-            return Stub()
-
-        monkeypatch.setattr(coverage, "integrate_geodesic", fake)
+        monkeypatch.setattr(coverage, "integrate_geodesics", fake)
         exp_coverage(
             get_model("S3").field, (0.0, 0.0), (-1.0, 1.0, -1.0, 1.0), 4, angles=512
         )

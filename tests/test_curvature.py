@@ -173,6 +173,35 @@ def test_curvature_at_matches_exact_fraction_oracle(kind, coeffs, x1):
         assert gap <= 2 * Fraction(float(np.spacing(abs(float(exact))))), (i, j, k, l)
 
 
+@pytest.mark.parametrize("kind", ["A", "B"])
+@given(
+    coeffs=st.tuples(*[rationals] * 6),
+    x1=st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=24),
+)
+def test_nabla_ricci_at_matches_exact_fraction_oracle(kind, coeffs, x1):
+    # oracle: the exact table times x1**(-power), evaluated in Fraction
+    # arithmetic at the exact value of the float point, rounded once
+    field = ChristoffelField(kind=kind, coeffs=as_coeffs(coeffs))
+    x1f = float(x1)
+    got = nabla_ricci_at(field, (x1f, 2.5))
+    exact_table = nabla_ricci_table(field)
+    for k, i, j in np.ndindex(2, 2, 2):
+        exact = exact_table.table[k][i][j] / Fraction(x1f) ** exact_table.power
+        gap = abs(Fraction(float(got[k, i, j])) - exact)
+        assert gap <= 2 * Fraction(float(np.spacing(abs(float(exact))))), (k, i, j)
+
+
+def test_nabla_ricci_float_table_is_cached_outside_equality_and_hash():
+    used = ChristoffelField.type_a((1, 2, 0, 1, 3, 0))
+    n = nabla_ricci_at(used, (0.0, 0.0))
+    assert nabla_ricci_at(used, (5.0, 5.0)) is n
+    with pytest.raises(ValueError):
+        n[0, 1, 0] = 99.0
+    fresh = ChristoffelField.type_a((1, 2, 0, 1, 3, 0))
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+
+
 def test_kind_a_curvature_is_shared_and_read_only():
     field = ChristoffelField.type_a((1, 2, 0, 1, 3, 0))
     r = curvature_at(field, (0.0, 0.0))

@@ -6,10 +6,12 @@ is exact, and the recovered shear/scale witness is exact whenever the scale
 is rational (always true for inputs generated from a canonical model by a
 rational change of coordinates).
 
-Kind-A charts are classified against the three constant-coefficient normal
-forms by a multi-start numerical orbit search over invertible 2x2 matrices.
-Exact rational invariants only prune and order the candidate targets; the
-verdict is accepted purely on the search residual.
+Kind-A charts are classified exactly as well.  A non-flat locally symmetric
+constant chart has Gamma(x, y) = q(x, y) * u for a rational vector u and a
+rational symmetric form q, and q alone names the normal form: S2 when u is
+q-null, S3 when q is definite, S1 otherwise.  The witness frame is built
+from u and q: it is rational for S2 and needs one square root for S1 and
+S3, so only that root's rounding can leave a nonzero residual.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.optimize import least_squares
+# Not called here: benchmarks/tracing.py wraps this name when it installs.
+from scipy.optimize import least_squares  # noqa: F401
 
 from .curvature import nabla_ricci_table, ricci_table
 from .errors import ClassificationInconclusiveError
@@ -36,8 +38,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
-DEFAULT_STARTS = 64
-DEFAULT_SEED = 1902
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,9 @@ _CANON = {
     "H2": (Fraction(-1), Fraction(0), Fraction(0), Fraction(-1), Fraction(1), Fraction(0)),
     "L2": (Fraction(-1), Fraction(0), Fraction(0), Fraction(-1), Fraction(-1), Fraction(0)),
     "S5": (Fraction(-1), Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(0)),
+    "S1": (Fraction(-1), Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(0)),
+    "S2": (Fraction(0), Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(0)),
+    "S3": (Fraction(-1), Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(0)),
 }
 
 
@@ -219,108 +222,93 @@ def classify_type_b(values) -> NormalForm:
     return _finish_type_b(coeffs, "S5", Fraction(0), 1 / c11_2, _CANON["S5"])
 
 
-_TYPE_A_TARGETS = {
-    "S1": np.array([-1.0, 0.0, -0.5, 0.0, 0.0, 0.0]),
-    "S2": np.array([0.0, 0.0, -0.5, 0.0, 0.0, 0.0]),
-    "S3": np.array([-1.0, 0.0, 0.0, 0.0, -1.0, 0.0]),
-}
+def _line_factor(coeffs):
+    """(q, u) with Gamma(x, y) = q(x, y) * u exactly, or None if none exists.
 
-
-def _pushforward_float(coeffs6: np.ndarray, m: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) < 1e-12:
+    u is the first nonzero Gamma(e_i, e_j) scaled to a leading entry 1, and
+    q = (q11, q12, q22) reads that entry off each Gamma(e_i, e_j).
+    """
+    slots = (coeffs[0:2], coeffs[2:4], coeffs[4:6])
+    lead = next(v for v in slots if any(v))
+    k = 0 if lead[0] != 0 else 1
+    u = (lead[0] / lead[k], lead[1] / lead[k])
+    if any(v[j] != v[k] * u[j] for v in slots for j in range(2)):
         return None
-    inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-    g = np.array(
-        [[[coeffs6[0], coeffs6[1]], [coeffs6[2], coeffs6[3]]],
-         [[coeffs6[2], coeffs6[3]], [coeffs6[4], coeffs6[5]]]]
-    )
-    # D[i,j,k] = m[k,c] inv[a,i] inv[b,j] g[a,b,c]
-    d = np.einsum("kc,ai,bj,abc->ijk", m, inv, inv, g)
-    return np.array([d[0, 0, 0], d[0, 0, 1], d[0, 1, 0], d[0, 1, 1], d[1, 1, 0], d[1, 1, 1]])
+    return tuple(v[k] for v in slots), u
 
 
-def _ricci_kernel(rho) -> tuple[Fraction, Fraction]:
-    """A nonzero rational vector spanning the kernel of a rank-1 table."""
-    if rho[0][0] != 0 or rho[0][1] != 0:
-        return (rho[0][1], -rho[0][0])
-    return (rho[1][1], -rho[1][0])
+def _q(q, x, y):
+    return q[0] * x[0] * y[0] + q[1] * (x[0] * y[1] + x[1] * y[0]) + q[2] * x[1] * y[1]
 
 
-def _candidate_order(coeffs, rho) -> list[str]:
-    trace = rho[0][0] + rho[1][1]
-    if trace > 0:
-        return ["S3"]
-    k1, k2 = _ricci_kernel(rho)
-    c11_1, c11_2, c12_1, c12_2, c22_1, c22_2 = coeffs
-    gkk_1 = c11_1 * k1 * k1 + 2 * c12_1 * k1 * k2 + c22_1 * k2 * k2
-    gkk_2 = c11_2 * k1 * k1 + 2 * c12_2 * k1 * k2 + c22_2 * k2 * k2
-    if gkk_1 == 0 and gkk_2 == 0:
-        return ["S2", "S1"]
-    return ["S1", "S2"]
+def _root(r: Fraction):
+    """Square root of a positive rational: exact when it is a rational square."""
+    return _exact_sqrt(r) or math.sqrt(r)
 
 
 def classify_type_a(
     values,
     *,
-    n_starts: int = DEFAULT_STARTS,
-    seed: int = DEFAULT_SEED,
+    n_starts: int | None = None,
+    seed: int | None = None,
     residual_tol: float = RESIDUAL_TOL,
 ) -> NormalForm:
     """Classify a kind-A chart up to invertible linear changes of frame.
 
-    Local symmetry and flatness are decided exactly first.  The surviving
-    charts are matched to a canonical target by Levenberg-Marquardt runs
-    from ``n_starts`` deterministic starting matrices; a verdict is accepted
-    only when the max-abs coefficient defect drops below ``residual_tol``.
+    Local symmetry and flatness are decided exactly, the verdict by the
+    form q of Gamma(x, y) = q(x, y) * u (see the module docstring).  The
+    witness maps the frame (f1, f2) onto (e1, e2): f1 = u / lambda with
+    lambda = -q(u, u) (f1 = u for S2), f2 a null vector of q (S1, S2) or a
+    q-orthogonal one (S3).  Its residual is the exact defect of pushing the
+    input forward with it, 0 when the witness is rational.  ``n_starts``
+    and ``seed`` are accepted for compatibility and ignored.
 
-    Raises ClassificationInconclusiveError when the budget is exhausted.
+    Raises ClassificationInconclusiveError when Gamma does not factor or
+    the residual is not below ``residual_tol``.
     """
     coeffs = as_coeffs(values)
     field = ChristoffelField.type_a(coeffs)
     if not nabla_ricci_table(field).is_zero():
         return NormalForm(verdict="NotLocallySymmetric")
-    rho_tbl = ricci_table(field)
-    if rho_tbl.is_zero():
+    if ricci_table(field).is_zero():
         return NormalForm(verdict="Flat")
-    rho = rho_tbl.table
-    if rho[0][1] != rho[1][0] or rho[0][0] * rho[1][1] - rho[0][1] * rho[1][0] != 0:
-        # A symmetric rank-1 Ricci tensor is guaranteed for every symmetric
-        # non-flat constant chart; anything else cannot be matched.
-        raise ClassificationInconclusiveError("Ricci invariants match no constant target")
-
-    src = np.array([float(v) for v in coeffs])
-    rng = np.random.default_rng(seed)
-    k1, k2 = (float(v) for v in _ricci_kernel(rho))
-    knorm = math.hypot(k1, k2)
-    align = np.array([[k1, k2], [-k2, k1]]) / knorm  # sends kernel direction near e1
-
-    starts = [np.eye(2), align, 2.0 * align, 0.5 * align]
-    while len(starts) < n_starts:
-        m = rng.normal(size=(2, 2))
-        if abs(np.linalg.det(m)) > 1e-3:
-            starts.append(m)
-
-    def residuals_for(target):
-        def fun(x):
-            img = _pushforward_float(src, x.reshape(2, 2))
-            if img is None:
-                return np.full(6, 1e6)
-            return img - target
-
-        return fun
-
-    for name in _candidate_order(coeffs, rho):
-        fun = residuals_for(_TYPE_A_TARGETS[name])
-        for start in starts:
-            sol = least_squares(fun, start.ravel(), method="lm", xtol=1e-15, ftol=1e-15)
-            m = sol.x.reshape(2, 2)
-            if abs(np.linalg.det(m)) < 1e-8:
-                continue
-            resid = float(np.max(np.abs(fun(sol.x))))
-            if resid < residual_tol:
-                witness = ((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1]))
-                return NormalForm(verdict=f"TypeA_{name}", witness=witness, residual=resid)
-    raise ClassificationInconclusiveError(
-        f"no target reached residual {residual_tol:g} within {n_starts} starts"
-    )
+    factor = _line_factor(coeffs)
+    if factor is None:
+        raise ClassificationInconclusiveError("Gamma of a symmetric chart has no line image")
+    q, u = factor
+    quu = _q(q, u, u)
+    qu = (q[0] * u[0] + q[1] * u[1], q[1] * u[0] + q[2] * u[1])
+    if quu == 0:
+        name = "S2"
+        # the other null direction of q, through e_k with q(u, e_k) != 0
+        k = 0 if qu[0] != 0 else 1
+        e = (1 - k, k)
+        t = _q(q, e, e) / (2 * qu[k])
+        f1 = u
+        f2 = tuple((t * u[j] - e[j]) / (2 * qu[k]) for j in range(2))
+    else:
+        lam = -quu
+        f1 = (u[0] / lam, u[1] / lam)
+        w = (qu[1], -qu[0])  # q-orthogonal to u
+        qww = _q(q, w, w)
+        if q[1] * q[1] < q[0] * q[2]:
+            name = "S3"
+            s = _root(quu * qww)
+            f2 = (w[0] / s, w[1] / s)
+        else:
+            name = "S1"
+            # null vector w + s*u, scaled so that q(u, f2) = -1/2
+            s = _root(-qww / quu)
+            f2 = tuple(-(w[j] + s * u[j]) / (2 * s * quu) for j in range(2))
+    det = f1[0] * f2[1] - f2[0] * f1[1]
+    matrix = ((f2[1] / det, -f2[0] / det), (-f1[1] / det, f1[0] / det))
+    # push forward in exact arithmetic (Fraction(float) is exact), so the
+    # residual is the witness's own defect, free of cancellation in the sums
+    image = pushforward(coeffs, tuple(tuple(Fraction(e) for e in row) for row in matrix))
+    resid = float(max(abs(x - y) for x, y in zip(image, _CANON[name])))
+    if not resid < residual_tol:
+        raise ClassificationInconclusiveError(
+            f"{name} witness leaves residual {resid:.3e}, not below {residual_tol:g}"
+        )
+    witness = tuple(tuple(float(e) for e in row) for row in matrix)
+    return NormalForm(verdict=f"TypeA_{name}", witness=witness, residual=resid)

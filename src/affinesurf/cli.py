@@ -118,8 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a six-coefficient table")
     p.add_argument("--type", dest="kind", choices=("A", "B"), required=True)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--starts", type=int, default=None, help="ignored: type A is exact")
+    p.add_argument("--seed", type=int, default=None, help="ignored: type A is exact")
     p.add_argument("coefficients", nargs=6, metavar="c", help=" ".join(COEFF_NAMES))
 
     p = sub.add_parser("geodesic", help="trace one geodesic")
@@ -199,12 +199,7 @@ def cmd_classify(args, cfg: dict) -> int:
     if args.kind == "B":
         nf = classify_type_b(coeffs)
     else:
-        nf = classify_type_a(
-            coeffs,
-            n_starts=int(cfg["starts"]),
-            seed=int(cfg["seed"]),
-            residual_tol=float(cfg["tol"]),
-        )
+        nf = classify_type_a(coeffs, residual_tol=float(cfg["tol"]))
     name = _verdict_name(nf)
     if nf.witness is None:
         print(name)

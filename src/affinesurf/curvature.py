@@ -121,7 +121,11 @@ def curvature_table(field: ChristoffelField) -> ScaledTable:
 
 
 def ricci_table(field: ChristoffelField) -> ScaledTable:
-    """Exact Ricci table rho[j][k] = sum_i R[i][j][k][i]."""
+    """Exact Ricci table rho[j][k] = sum_i R[i][j][k][i], built once per field."""
+    return field._exact_ricci
+
+
+def _build_ricci_table(field: ChristoffelField) -> ScaledTable:
     rt = curvature_table(field)
     r = rt.table
     rho = [[sum(r[i][j][k][i] for i in range(2)) for k in range(2)] for j in range(2)]

@@ -170,8 +170,8 @@ class ChristoffelField:
                 f"point {tuple(float(c) for c in p)} outside the x1 > 0 chart of a kind-B field"
             )
 
-    # Float tables of kinds A and B.  cached_property stores them in the
-    # instance dict, so they take no part in equality or hashing.
+    # Tables of kinds A and B built once per field.  cached_property stores
+    # them in the instance dict, so they take no part in equality or hashing.
 
     @cached_property
     def _gamma_table(self) -> np.ndarray:
@@ -185,6 +185,13 @@ class ChristoffelField:
 
         table = curvature_table(self)
         return _read_only(table.as_array()), table.power
+
+    @cached_property
+    def _exact_ricci(self):
+        """Exact Ricci ``ScaledTable``, shared by the symmetry and flatness tests."""
+        from .curvature import _build_ricci_table
+
+        return _build_ricci_table(self)
 
     @cached_property
     def _nabla_ricci_table(self) -> tuple[np.ndarray, int]:

@@ -199,6 +199,9 @@ def _rhs_wrapper(f):
     return call
 
 
+# States near the largest float overflow in the stage sums; the step is then
+# rejected as designed, so one errstate per call silences NumPy's warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_ode(
     f: Callable,
     t0: float,

@@ -24,7 +24,6 @@ from affinesurf.classify import (
     classify_type_b,
     pushforward,
 )
-from affinesurf.classify import _pushforward_float
 from affinesurf.coverage import REACHED, exp_coverage
 from affinesurf.curvature import (
     nabla_ricci_at,
@@ -152,7 +151,7 @@ def test_criterion_2_classifier(capsys):
         exact += 1
     assert exact == 500
 
-    # constant-coefficient kind: 200 numeric recoveries under random GL(2)
+    # constant-coefficient kind: 200 recoveries under random GL(2)
     worst_res = 0.0
     for i in range(200):
         name = ("S1", "S2", "S3")[i % 3]
@@ -163,10 +162,8 @@ def test_criterion_2_classifier(capsys):
         assert nf.verdict == f"TypeA_{name}", (name, nf.verdict)
         assert nf.residual < 1e-9
         worst_res = max(worst_res, nf.residual)
-        got = _pushforward_float(
-            np.array([float(v) for v in moved]), np.array(nf.witness)
-        )
-        assert np.max(np.abs(got - np.array([float(v) for v in src]))) < 1e-8
+        got = pushforward(tuple(float(v) for v in moved), nf.witness)
+        assert max(abs(g - float(v)) for g, v in zip(got, src)) < 1e-8
 
     # coefficient patterns that cannot be locally symmetric: the classifier
     # must refuse to name a model for them.
@@ -185,7 +182,7 @@ def test_criterion_2_classifier(capsys):
     with capsys.disabled():
         _passline(
             "criterion 2 (classifier): PASS - 500/500 exact witnesses, "
-            f"200/200 numeric (worst residual {worst_res:.2e} < 1e-9), "
+            f"200/200 GL(2) (worst residual {worst_res:.2e} < 1e-9), "
             "4 impossible patterns rejected"
         )
 

@@ -162,36 +162,94 @@ def test_branch_without_c22_1_is_never_symmetric_unless_flat():
 def test_canonical_kind_a_models(name):
     nf = classify_type_a(get_model(name).field.coeffs)
     assert nf.verdict == f"TypeA_{name}"
-    assert nf.residual < 1e-9
+    assert nf.residual == 0
+    assert nf.witness == ((1.0, 0.0), (0.0, 1.0))
+
+
+def _random_gl2(rng):
+    while True:
+        m = tuple(
+            tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2))
+            for _ in range(2)
+        )
+        if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
+            return m
 
 
 def test_kind_a_round_trips_under_gl2():
     rng = random.Random(11)
-
-    def rand_gl2():
-        while True:
-            m = tuple(
-                tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2))
-                for _ in range(2)
-            )
-            if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
-                return m
-
     for _ in range(200):
         name = rng.choice(["S1", "S2", "S3"])
-        moved = pushforward(get_model(name).field.coeffs, rand_gl2())
+        moved = pushforward(get_model(name).field.coeffs, _random_gl2(rng))
         nf = classify_type_a(moved)
         assert nf.verdict == f"TypeA_{name}", (name, moved, nf.verdict)
-        assert nf.residual < 1e-9
+        # S2's witness is rational; the one square root S1 and S3 need is
+        # rational too for a rational image of the canonical table
+        assert nf.residual == 0
         # witness actually maps the input onto the canonical table
-        w = np.array(nf.witness)
-        src = np.array([float(v) for v in moved])
-        target = np.array(
-            [float(v) for v in get_model(name).field.coeffs]
-        )
-        from affinesurf.classify import _pushforward_float
+        got = pushforward(tuple(float(v) for v in moved), nf.witness)
+        target = get_model(name).field.coeffs
+        assert max(abs(g - float(v)) for g, v in zip(got, target)) < 1e-8
 
-        assert np.max(np.abs(_pushforward_float(src, w) - target)) < 1e-8
+
+def test_irrational_kind_a_witness_is_float_with_residual():
+    # Gamma(x, y) = q(x, y) * (1, 2) with q = diag(1, 1/2): S3, and the
+    # q-orthogonal unit vector needs sqrt(2)
+    coeffs = (F(1), F(2), F(0), F(0), F(1, 2), F(1))
+    nf = classify_type_a(coeffs)
+    assert nf.verdict == "TypeA_S3"
+    assert 0 < nf.residual < 1e-12
+    got = pushforward(tuple(float(v) for v in coeffs), nf.witness)
+    target = get_model("S3").field.coeffs
+    assert max(abs(g - float(v)) for g, v in zip(got, target)) < 1e-12
+
+
+gl2_frames = st.tuples(st.tuples(rationals, rationals), st.tuples(rationals, rationals)).filter(
+    lambda m: m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0
+)
+KIND_A_CASES = [
+    (get_model("S1").field.coeffs, "TypeA_S1"),
+    (get_model("S2").field.coeffs, "TypeA_S2"),
+    (get_model("S3").field.coeffs, "TypeA_S3"),
+    ((F(1), F(2), F(0), F(0), F(1, 2), F(1)), "TypeA_S3"),
+    ((F(1), F(0), F(0), F(0), F(0), F(1)), "Flat"),
+    ((F(1), F(1), F(0), F(0), F(1), F(0)), "NotLocallySymmetric"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KIND_A_CASES), gl2_frames)
+def test_kind_a_verdict_is_invariant_under_gl2_frames(case, frame):
+    coeffs, verdict = case
+    nf = classify_type_a(pushforward(coeffs, frame))
+    assert nf.verdict == verdict
+    if nf.witness is not None:
+        assert nf.residual < 1e-9
+
+
+def test_kind_a_makes_no_numeric_search(monkeypatch):
+    from affinesurf import classify
+
+    def boom(*args, **kwargs):
+        raise AssertionError("kind-A classification called least_squares")
+
+    monkeypatch.setattr(classify, "least_squares", boom)
+    rng = random.Random(5)
+    for coeffs, verdict in KIND_A_CASES:
+        assert classify_type_a(pushforward(coeffs, _random_gl2(rng))).verdict == verdict
+
+
+def test_classification_builds_one_curvature_table(monkeypatch):
+    from affinesurf import curvature
+
+    built = []
+    original = curvature.curvature_table
+    monkeypatch.setattr(
+        curvature, "curvature_table", lambda field: built.append(field) or original(field)
+    )
+    assert classify_type_a(get_model("S3").field.coeffs).verdict == "TypeA_S3"
+    assert classify_type_b(get_model("H2").field.coeffs).verdict == "H2"
+    assert len(built) == 2
 
 
 def test_kind_a_rejections():

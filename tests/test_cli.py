@@ -41,8 +41,7 @@ class TestClassify:
             capsys, "classify", "--type", "A", "--", "-1", "0", "-1/2", "0", "0", "0"
         )
         assert code == 0
-        assert out.splitlines()[0] == "S1"
-        assert any(line.startswith("witness:") for line in out.splitlines())
+        assert out == "S1\nwitness: [[1.0, 0.0], [0.0, 1.0]]\nresidual: 0.000e+00\n"
 
     def test_parameter_family_verdict_carries_c(self, capsys):
         code, out, _ = run_cli(

@@ -202,6 +202,18 @@ def test_nabla_ricci_float_table_is_cached_outside_equality_and_hash():
     assert repr(used) == repr(fresh)
 
 
+def test_exact_ricci_table_is_built_once_outside_equality_and_hash():
+    used = ChristoffelField.type_b((-1, 0, 0, -1, 1, 0))
+    rho = ricci_table(used)
+    assert ricci_table(used) is rho
+    assert nabla_ricci_table(used).is_zero()
+    assert ricci_table(used) is rho
+    fresh = ChristoffelField.type_b((-1, 0, 0, -1, 1, 0))
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert ricci_table(fresh) == rho
+
+
 def test_kind_a_curvature_is_shared_and_read_only():
     field = ChristoffelField.type_a((1, 2, 0, 1, 3, 0))
     r = curvature_at(field, (0.0, 0.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ def test_blowup_escape_time():
     assert res.status == "blowup"
     assert res.t_final < 1.0
     assert abs(res.t_escape - 1.0) < 1e-7
+
+
+def test_overflowing_stages_are_rejected_without_warnings():
+    # every stage sum from the largest floats overflows; the steps are
+    # rejected as designed and NumPy must not warn about it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_ode(lambda t, y: np.array([1e308]), 0.0, np.array([1.79e308]), 1.0)
+    assert res.status == "blowup"
 
 
 def test_exponential_growth_is_not_blowup():

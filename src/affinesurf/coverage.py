@@ -4,10 +4,10 @@ Verdicts are per cell centre.  For the Lorentz half-plane the closed-form
 geodesic families make the image of exp_P effectively computable: the
 unique candidate orbit through base and centre is solved for exactly (a
 direction search with a perfect initializer), its causal component test
-decides reachability, and reachable verdicts are confirmed by locating
-the hit parameter with bracketed bisection.  Unreachable verdicts come
-only from the exact orbit algebra; a failed numeric confirmation degrades
-to "unknown", never to "unreachable".
+decides reachability, and reachable verdicts are confirmed by evaluating
+the aimed geodesic at the hit parameter, which its closed form gives
+directly.  Unreachable verdicts come only from the exact orbit algebra; a
+failed numeric confirmation degrades to "unknown", never to "unreachable".
 
 For other models no closed forms are available, so a sweep of launch
 directions marks cells that sampled geodesic points land in, and
@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+# Not called here: benchmarks/tracing.py wraps this name when it installs.
+from scipy.optimize import brentq  # noqa: F401
 
 from .catalog import get_model
 from .errors import DomainError
@@ -118,8 +119,9 @@ def l2_reach_verdict(base, target, *, tol: float = 1e-8) -> int:
     """Settle one Lorentz half-plane target by orbit aiming.
 
     The candidate orbit through base and target is unique; its causal type
-    and component test decide reachability exactly, and a reachable verdict
-    is confirmed by locating the hit parameter on the aimed geodesic.
+    and component test decide reachability exactly.  A reachable verdict
+    takes the hit parameter from the aimed geodesic's closed-form inverse
+    (``t_at_x2``) and is confirmed by evaluating the geodesic there.
     """
     b1, b2 = float(base[0]), float(base[1])
     a, b = float(target[0]), float(target[1])
@@ -154,7 +156,7 @@ def l2_reach_verdict(base, target, *, tol: float = 1e-8) -> int:
     # spacelike (mu > 0): the full connected branch is covered
 
     geo = fit_l2_geodesic((b1, b2), vel)
-    t_star = _solve_x2(geo, b)
+    t_star = geo.t_at_x2(b)
     if t_star is None:
         return UNKNOWN
     return REACHED if _confirm(geo, t_star, a, b, tol) else UNKNOWN
@@ -165,39 +167,6 @@ def _confirm(geo, t_star: float, a: float, b: float, tol: float) -> bool:
         return False
     x1, x2 = geo._point(t_star)
     return math.hypot(x1 - a, x2 - b) <= tol
-
-
-def _solve_x2(geo, b: float) -> float | None:
-    """Parameter with x2(t) = b; x2 is strictly monotone on every
-    non-vertical family, so a sampled sign change plus brentq settles it."""
-
-    def f(t: float) -> float:
-        try:
-            val = geo._point(t)[1] - b
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return math.nan
-        return val if math.isfinite(val) else math.nan
-
-    cands: list[float] = [0.0]
-    for end, side in ((geo.t_min, -1.0), (geo.t_max, 1.0)):
-        if math.isfinite(end):
-            ref = max(1.0, abs(end))
-            cands.extend(end - side * ref * 10.0 ** (-k) for k in range(14))
-        else:
-            cands.extend(side * 2.0**k for k in range(46))
-    ts = sorted(t for t in cands if geo.t_min < t < geo.t_max)
-
-    prev: tuple[float, float] | None = None
-    for t in ts:
-        ft = f(t)
-        if math.isnan(ft):
-            continue
-        if ft == 0.0:
-            return t
-        if prev is not None and prev[1] * ft < 0.0:
-            return float(brentq(f, prev[0], t, xtol=1e-14, maxiter=200))
-        prev = (t, ft)
-    return None
 
 
 def _l2_coverage(base, x_edges, y_edges, *, tol: float) -> np.ndarray:

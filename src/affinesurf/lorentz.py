@@ -17,10 +17,14 @@ Every geodesic belongs to one of four closed-form families:
 
 * vertical:  (a*exp(b*t), alpha), complete, timelike or a point;
 * null:      (k/s, +-k/s + alpha) in affine parameter s, one-sided escape;
-* timelike:  (1/(C*sinh u), S*coth(u)/C + beta) with u an affine rescaling
+* timelike:  (1/(C*sinh u), S*coth(u)/C - beta) with u an affine rescaling
   of t, escape toward u -> 0 where x1 -> infinity;
-* spacelike: (1/(C*sin u), S*cot(u)/C + beta), u in (0, pi), escaping in
-  BOTH directions with total affine length pi/omega (pi when lam = 1).
+* spacelike: (1/(C*sin u), S*cot(u)/C - beta) with u in (0, pi) an affine
+  rescaling of t, escaping in BOTH directions with total affine length
+  pi/omega (pi when lam = 1).
+
+x2 is strictly monotone along the last three families, and
+``ClosedFormGeodesic.t_at_x2`` inverts it in closed form.
 """
 
 from __future__ import annotations
@@ -88,7 +92,8 @@ class ClosedFormGeodesic:
     ``t_min``/``t_max`` bound the maximal affine domain (infinite where the
     geodesic is complete); finite bounds are escape times at which x1 blows
     up.  ``family`` is "point", "vertical", "null", "timelike" or
-    "spacelike".
+    "spacelike".  ``t_at_x2(b)`` inverts x2(t) = b in closed form on the
+    last three families.
     """
 
     family: str
@@ -99,6 +104,7 @@ class ClosedFormGeodesic:
     _point: Callable[[float], tuple[float, float]]
     _velocity: Callable[[float], tuple[float, float]]
     beta: float | None = None
+    _t_at_x2: Callable[[float], float | None] | None = None
 
     def point(self, t: float) -> Point2:
         self._require(t)
@@ -109,6 +115,13 @@ class ClosedFormGeodesic:
         self._require(t)
         v1, v2 = self._velocity(float(t))
         return TangentVector2(v1, v2)
+
+    def t_at_x2(self, b: float) -> float | None:
+        """The t in (t_min, t_max) with x2(t) = b, or None if there is none."""
+        if self._t_at_x2 is None:
+            raise DegenerateFitError(f"{self.family} geodesic: x2 is constant")
+        t = self._t_at_x2(float(b))
+        return t if t is not None and self.t_min < t < self.t_max else None
 
     def _require(self, t: float) -> None:
         if not (self.t_min < t < self.t_max):
@@ -157,79 +170,70 @@ def fit_l2_geodesic(point, velocity) -> ClosedFormGeodesic:
             _point=lambda t: (k / (t + s0), sgn * k / (t + s0) + alpha),
             _velocity=lambda t: (-k / (t + s0) ** 2, -sgn * k / (t + s0) ** 2),
             beta=-alpha,
+            _t_at_x2=lambda b: None if b == alpha else sgn * k / (b - alpha) - s0,
         )
 
     omega = math.sqrt(abs(lam))
     beta = x1 * v1 / v2 - x2
-    cap = abs(c)
+    big_c = abs(c) / omega
 
     if lam < 0.0:
         # timelike: u = eps*omega*t + u0 with sinh(u0) = 1/(C*x1).  Since
         # |v1| > |v2| >= 0 here, v1 is never 0 and fixes the direction; S is
         # pinned by the Killing momentum (c = -eps*omega*S*C).
-        big_c = cap / omega
+        sin, cos, tan = math.sinh, math.cosh, math.tanh
         u0 = math.asinh(1.0 / (big_c * x1))
         eps = -1.0 if v1 > 0.0 else 1.0
         big_s = -1.0 if c * eps > 0.0 else 1.0
         t_min, t_max = ((-u0 / omega, inf) if eps > 0 else (-inf, u0 / omega))
 
-        def pt(t, e=eps, w=omega, u_0=u0, C=big_c, S=big_s, b=beta):
-            u = e * w * t + u_0
-            return (1.0 / (C * math.sinh(u)), S / (C * math.tanh(u)) - b)
-
-        def vel(t, e=eps, w=omega, u_0=u0, C=big_c, S=big_s):
-            u = e * w * t + u_0
-            sh = math.sinh(u)
-            return (-e * w * math.cosh(u) / (C * sh * sh), -e * w * S / (C * sh * sh))
-
-        geo = ClosedFormGeodesic(
-            family="timelike", c=c, lam=lam, t_min=t_min, t_max=t_max,
-            _point=pt, _velocity=vel, beta=beta,
-        )
+        def t_at(x, e=eps, w=omega, u_0=u0, C=big_c, S=big_s, b=beta):
+            # tanh(u) = S/(C*(x2 + beta)) lies in (0, 1): the orbit never
+            # reaches its asymptote x2 = S/C - beta or the far side of it
+            den = C * (x + b)
+            r = S / den if den else 0.0
+            return (math.atanh(r) - u_0) / (e * w) if 0.0 < r < 1.0 else None
     else:
-        # spacelike: u = eps*omega*t + u0 with sin(u0) = 1/(C*x1) and u in
-        # (0, pi).  Both the direction eps and the arcsin branch of u0 are
-        # discrete; search the four combinations for the one reproducing
-        # the initial data (they coincide pairwise at the apex v1 = 0).
-        big_c = cap / omega
-        arg = min(1.0, 1.0 / (big_c * x1))
-        base = math.asin(arg)
+        # spacelike: u = eps*omega*t + u0 in (0, pi) with sin(u0) = 1/(C*x1)
+        # and cot(u0) = S*C*(x2 + beta); c = -eps*omega*S*C pins S.  As
+        # reversing u traces the same curve, eps = +1 and the sign of the
+        # cotangent picks the arcsin branch, except where a branch loses
+        # digits: near the apex u0 = pi/2 the arcsin keeps only half of them,
+        # so u0 comes from the cotangent; and on a nearly null launch
+        # pi - u0 rounds a tiny u0 away, so eps = -1 keeps u0 itself.
+        sin, cos, tan = math.sin, math.cos, math.tan
+        eps, big_s = 1.0, (-1.0 if c > 0.0 else 1.0)
+        cot0 = big_s * big_c * (x2 + beta)
+        if abs(cot0) < 1e-4:
+            u0 = math.atan2(1.0, cot0)
+        else:
+            u0 = math.asin(min(1.0, 1.0 / (big_c * x1)))
+            if cot0 < 0.0 and u0 < 1e-6:
+                eps, big_s = -1.0, -big_s
+            elif cot0 < 0.0:
+                u0 = math.pi - u0
+        t_min, t_max = -u0 / omega, (math.pi - u0) / omega
+        if eps < 0.0:
+            t_min, t_max = -t_max, -t_min
 
-        def mk(e, u_0):
-            S = -1.0 if c * e > 0.0 else 1.0
+        def t_at(x, e=eps, w=omega, u_0=u0, C=big_c, S=big_s, b=beta):
+            return (math.atan2(1.0, S * C * (x + b)) - u_0) / (e * w)
 
-            def pt(t, e=e, w=omega, u_0=u_0, C=big_c, S=S, b=beta):
-                u = e * w * t + u_0
-                return (1.0 / (C * math.sin(u)), S / (C * math.tan(u)) - b)
+    # sin, cos and tan are hyperbolic on a timelike orbit
+    def pt(t, e=eps, w=omega, u_0=u0, C=big_c, S=big_s, b=beta):
+        u = e * w * t + u_0
+        return (1.0 / (C * sin(u)), S / (C * tan(u)) - b)
 
-            def vel(t, e=e, w=omega, u_0=u_0, C=big_c, S=S):
-                u = e * w * t + u_0
-                sn = math.sin(u)
-                return (-e * w * math.cos(u) / (C * sn * sn), -e * w * S / (C * sn * sn))
+    def vel(t, e=eps, w=omega, u_0=u0, C=big_c, S=big_s):
+        u = e * w * t + u_0
+        sn = sin(u)
+        return (-e * w * cos(u) / (C * sn * sn), -e * w * S / (C * sn * sn))
 
-            return pt, vel
-
-        tol = 1e-9 * (1.0 + abs(x2) + abs(v1))
-        geo = None
-        for eps in (1.0, -1.0):
-            for u0 in (base, math.pi - base):
-                pt, vel = mk(eps, u0)
-                if abs(pt(0.0)[1] - x2) > tol or abs(vel(0.0)[0] - v1) > tol:
-                    continue
-                t_lo, t_hi = -u0 / omega, (math.pi - u0) / omega
-                if eps < 0:
-                    t_lo, t_hi = -t_hi, -t_lo
-                geo = ClosedFormGeodesic(
-                    family="spacelike", c=c, lam=lam, t_min=t_lo, t_max=t_hi,
-                    _point=pt, _velocity=vel, beta=beta,
-                )
-                break
-            if geo is not None:
-                break
-        if geo is None:
-            raise ParamOutOfDomainError(
-                "no spacelike branch reproduces the initial data"
-            )
+    geo = ClosedFormGeodesic(
+        family="timelike" if lam < 0.0 else "spacelike", c=c, lam=lam,
+        t_min=t_min, t_max=t_max, _point=pt, _velocity=vel, beta=beta,
+        _t_at_x2=t_at,
+    )
 
     _check_fit(geo, (x1, x2), (v1, v2))
     return geo

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinesurf import coverage
 from affinesurf.catalog import get_model
@@ -70,6 +72,26 @@ class TestVerdictOracle:
             l2_reach_verdict((0.0, 0.0), (1.0, 1.0))
 
 
+def _grid64(lo: int, hi: int):
+    return st.integers(lo * 64, hi * 64).map(lambda n: n / 64.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.tuples(_grid64(0, 3).filter(lambda x: x > 0.0), _grid64(-3, 3)),
+    target=st.tuples(_grid64(-1, 5), _grid64(-6, 6)),
+    s=st.sampled_from([0.25, 0.5, 2.0, 4.0]),
+    d=st.integers(-8, 8),
+)
+def test_verdict_invariant_under_l2_symmetries(base, target, s, d):
+    # (x1, x2) -> (s*x1, s*x2 + d) preserves the L2 connection; on a 1/64
+    # grid every image coordinate is exact, so the verdicts must agree
+    def image(p):
+        return (s * p[0], s * p[1] + d)
+
+    assert l2_reach_verdict(base, target) == l2_reach_verdict(image(base), image(target))
+
+
 @pytest.fixture(scope="module")
 def cover():
     field = get_model("L2").field
@@ -119,6 +141,16 @@ class TestL2Map:
         assert top[0] == UNREACHED  # (0.05, 3.9) lies above the wedge line
         with pytest.raises(DomainError):
             cover.value_at(5.0, 0.0)
+
+
+def test_l2_map_makes_no_root_search(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the L2 map called brentq")
+
+    monkeypatch.setattr(coverage, "brentq", boom)
+    field = get_model("L2").field
+    cover = exp_coverage(field, (1.0, 0.0), (0.0, 4.0, -4.0, 4.0), 40)
+    assert cover.counts()["unknown"] == 0
 
 
 class TestSweepMap:

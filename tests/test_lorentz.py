@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinesurf.catalog import get_model
 from affinesurf.errors import DegenerateFitError, DomainError, ParamOutOfDomainError
@@ -95,6 +97,21 @@ def test_spacelike_family_has_affine_length_pi_over_omega():
         assert abs((g2.t_max - g2.t_min) - math.pi / omega) < 1e-12
 
 
+def test_spacelike_fit_where_an_arcsin_branch_loses_digits():
+    # near the apex v1 = 0 (u0 = pi/2) an arcsin of sin(u0) = 1/(C*x1) keeps
+    # only half the digits, and on a nearly null launch pi - u0 rounds a
+    # tiny u0 away; the fit must still reproduce the launch
+    for p, v in (((1.35, 0.0), (-0.0, -0.5625)), ((1.0, 0.3), (1e-8, 0.7)),
+                 ((0.8, -1.2), (-3e-6, -1.9)), ((2.5, 1.0), (4e-12, 0.4)),
+                 ((1.65, 1.5), (1.3299999999999998, 1.33)),
+                 ((1.03, 1.41), (1.7999999999999599, -1.8)),
+                 ((0.7, -1.3), (0.6999999999999998, -0.7))):
+        geo = fit_l2_geodesic(p, v)
+        assert geo.family == "spacelike"
+        assert np.allclose(geo.point(0.0), p, rtol=0.0, atol=1e-14)
+        assert np.allclose(geo.velocity(0.0), v, rtol=0.0, atol=1e-14)
+
+
 def test_fit_reproduces_every_ivp_and_matches_integration():
     rng = random.Random(4711)
     for _ in range(25):
@@ -108,6 +125,54 @@ def test_fit_reproduces_every_ivp_and_matches_integration():
         traj = integrate_geodesic(L2.field, p, v, (lo, hi), samples=41)
         pts = np.array([geo.point(t) for t in traj.t])
         assert np.max(np.abs(pts - traj.x)) < 1e-8
+
+
+@st.composite
+def _launches(draw):
+    """A launch in the null, timelike or spacelike family, any quadrant."""
+    p = (draw(st.floats(0.5, 2.0)), draw(st.floats(-2.0, 2.0)))
+    family = draw(st.sampled_from(["null", "timelike", "spacelike"]))
+    big = draw(st.floats(0.2, 1.0))
+    small = big * {"null": 1.0, "timelike": draw(st.floats(0.05, 0.95)),
+                   "spacelike": draw(st.floats(0.0, 0.95))}[family]
+    v1, v2 = (small, big) if family == "spacelike" else (big, small)
+    s1, s2 = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
+    return family, p, (s1 * v1, s2 * v2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(launch=_launches(), frac=st.floats(0.05, 0.95))
+def test_t_at_x2_round_trips_the_point(launch, frac):
+    # compare points, not parameters: t is ill-conditioned where a timelike
+    # orbit flattens onto its asymptote, but the point it names is not
+    family, p, v = launch
+    geo = fit_l2_geodesic(p, v)
+    assert geo.family == family
+    lo, hi = max(geo.t_min, -5.0), min(geo.t_max, 5.0)
+    want = geo.point(lo + frac * (hi - lo))
+    got = geo.point(geo.t_at_x2(want.x2))
+    tol = 1e-9 * (1.0 + max(abs(want.x1), abs(want.x2)))
+    assert abs(got.x1 - want.x1) <= tol and abs(got.x2 - want.x2) <= tol
+
+
+def test_t_at_x2_misses_values_off_the_geodesic():
+    null = fit_l2_geodesic((1.0, 1.0), (-0.5, -0.5))
+    assert null.t_at_x2(-null.beta) is None  # x2 = alpha: the line's far end
+    geo = fit_l2_geodesic((1.0, 0.0), (-math.sqrt(2.0), 1.0))
+    # the timelike orbit x1^2 - (x2 + beta)^2 = lam/c^2 flattens onto the
+    # asymptote x2 = -beta + side*sqrt(-lam)/|c| as x1 -> 0, on the side of
+    # -beta where it starts; it never gets past it, nor to the other side
+    side = 1.0 if geo.point(0.0).x2 + geo.beta > 0.0 else -1.0
+    reach = math.sqrt(-geo.lam) / abs(geo.c)
+    assert geo.t_at_x2(-geo.beta + side * 1.01 * reach) is not None
+    for x2 in (-geo.beta + side * 0.99 * reach, -geo.beta, -geo.beta - side):
+        assert geo.t_at_x2(x2) is None
+
+
+def test_t_at_x2_needs_a_moving_x2():
+    for v in ((0.0, 0.0), (3.0, 0.0)):
+        with pytest.raises(DegenerateFitError):
+            fit_l2_geodesic((2.0, 5.0), v).t_at_x2(5.0)
 
 
 def test_orbit_residual_flags_wrong_curves():

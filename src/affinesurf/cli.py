@@ -260,10 +260,9 @@ def cmd_geodesic(args, cfg: dict) -> int:
     print(f"samples: {traj.t.size}")
     if model.name == "L2":
         fit = fit_l2_geodesic(p0, v0)
-        print(
-            f"fit: family={fit.family} lambda={fit.lam:.12g} "
-            f"c={fit.c:.12g} beta={fit.beta:.12g}"
-        )
+        # vertical and point geodesics have no orbit hyperbola, so no beta
+        beta = "" if fit.beta is None else f" beta={fit.beta:.12g}"
+        print(f"fit: family={fit.family} lambda={fit.lam:.12g} c={fit.c:.12g}{beta}")
     stalled = "stalled" in (traj.status_forward, traj.status_backward)
     return EXIT_INTEGRATION if stalled else EXIT_OK
 

@@ -35,13 +35,20 @@ NOT_REQUESTED = "not_requested"
 
 
 def geodesic_rhs(field: ChristoffelField) -> Callable:
-    """Right-hand side (v, -G(v, v)) of the first-order geodesic system."""
+    """Right-hand side (v, -G(v, v)) of the first-order geodesic system.
+
+    Takes y as a float ndarray (4,) and returns a list of floats.  G(v, v)_k
+    is summed from 0.0 over (i, j) in order as (G[i, j, k] * v_i) * v_j,
+    which gives the bits of ``np.einsum("ijk,i,j->k", G, v, v)``.
+    """
 
     def f(t, y):
-        g = christoffel_at(field, (y[0], y[1]))
-        v = y[2:4]
-        acc = -np.einsum("ijk,i,j->k", g, v, v)
-        return np.array([y[2], y[3], acc[0], acc[1]])
+        x1, x2, v1, v2 = y.tolist()
+        (g00, g01), (g10, g11) = christoffel_at(field, (x1, x2)).tolist()
+        return [v1, v2] + [
+            -(0.0 + a * v1 * v1 + b * v1 * v2 + c * v2 * v1 + e * v2 * v2)
+            for a, b, c, e in zip(g00, g01, g10, g11)
+        ]
 
     return f
 

@@ -105,6 +105,19 @@ class TestGeodesic:
         assert "fit: family=spacelike lambda=1 c=1 beta=0" in out
         assert "status forward: blowup" in out
 
+    @pytest.mark.parametrize("v0, family", [("1,0", "vertical"), ("0,0", "point")])
+    def test_l2_fit_line_without_beta(self, capsys, v0, family):
+        # vertical and zero launches have no orbit hyperbola, hence no beta
+        code, out, _ = run_cli(
+            capsys,
+            "geodesic", "--model", "L2", "--p0", "2,0", "--v0", v0,
+            "--tspan=-1,1.2", "--format", "text",
+        )
+        assert code == 0
+        lam = "-0.25" if family == "vertical" else "0"
+        assert f"fit: family={family} lambda={lam} c=0\n" in out
+        assert "beta" not in out
+
     def test_svg_output(self, capsys, tmp_path):
         out_file = tmp_path / "geo.svg"
         code, _, _ = run_cli(

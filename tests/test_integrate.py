@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinesurf.catalog import get_model
 from affinesurf.errors import DomainError, IntegrationError
 from affinesurf.fields import ChristoffelField
-from affinesurf.geodesics import integrate_geodesic, integrate_geodesics
+from affinesurf.geodesics import (
+    geodesic_rhs,
+    geodesic_rhs_batch,
+    integrate_geodesic,
+    integrate_geodesics,
+)
 from affinesurf.integrate import solve_ode, solve_ode_batch
+from affinesurf.jacobi import _jacobi_rhs
+from affinesurf.sprays import _transport_rhs
 
 
 def test_exponential_accuracy():
@@ -196,6 +208,40 @@ def test_batched_rows_stopping_at_different_times():
         _assert_row_matches(fwd, r, solo.result_forward)
 
 
+# a chart point of each model to launch random fans from
+FAN_BASES = {"S1": (0.0, 0.0), "S2": (0.0, 0.0), "S3": (0.1, -0.2), "S3~": (0.75, 0.0),
+             "S5": (1.0, 0.0), "H2": (1.0, 0.1), "L2": (1.0, 0.0), "pseudosphere": (0.0, 0.0)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FAN_BASES)),
+    velocities=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                        min_size=1, max_size=4),
+    forward=st.booleans(),
+    max_steps=st.integers(1, 300),
+)
+def test_random_fans_match_solo_runs_bit_for_bit(name, velocities, forward, max_steps):
+    # the batched loop steps NumPy rows, solve_ode Python floats: the same
+    # operations in the same order must give every row the same bits
+    field = get_model(name).field
+    y0 = [[*FAN_BASES[name], *v] for v in velocities]
+    t_end = 3.0 if forward else -3.0
+    t_eval = np.linspace(0.0, t_end, 9)
+    kw = dict(rtol=1e-8, atol=1e-10, max_steps=max_steps)
+    batch = solve_ode_batch(geodesic_rhs_batch(field), 0.0, y0, t_end, t_eval, **kw)
+    for r, y in enumerate(y0):
+        solo = solve_ode(geodesic_rhs(field), 0.0, y, t_end, t_eval=t_eval, **kw)
+        m = int(batch.n_samples[r])
+        assert (batch.status[r], batch.message[r]) == (solo.status, solo.message)
+        assert batch.nfev[r] == solo.nfev
+        assert batch.t_final[r] == solo.t_final
+        assert batch.t_escape[r] == solo.t_escape
+        assert batch.y_final[r].tobytes() == solo.ys[-1].tobytes()
+        assert m == len(solo.sample_ts)
+        assert batch.sample_ys[r, :m].tobytes() == solo.sample_ys.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_batched_rows_match_solo_runs_when_only_the_solution_overflows():
     # the stages stay finite while y + h * sum(b k) overflows near the
@@ -234,3 +280,131 @@ def test_batched_blowup_escape_times():
     assert res.t_escape[2] is None
     assert res.n_samples.tolist() == [0, 0, 1]
     assert res.sample_ys[2, 0, 0] == pytest.approx(1.0 / (10.0 - 5.0), rel=1e-9)
+
+
+def test_zero_component_with_zero_atol_stalls_like_ieee_division():
+    # the second component stays 0 with atol = 0, so its error scale is 0
+    # and 0/0 makes every error norm NaN: each step is rejected until the
+    # step size collapses, as IEEE division has it, instead of raising
+    res = solve_ode(lambda t, y: np.array([1.0, 0.0]), 0.0, [1.0, 0.0], 1.0, atol=0.0)
+    assert res.status == "stalled"
+    assert res.nfev == 73
+
+
+# Frozen bits.  Each IVP below keeps the status, evaluation count, stop
+# message and escape estimate, and the exact bits (float.hex) of its final
+# state, of every knot and of every sample, that it had when solve_ode still
+# stepped NumPy arrays.  Knots and samples enter through one SHA-256 digest.
+
+BITS_TABLE = pathlib.Path(__file__).with_name("data") / "solve_ode_bits.json"
+
+
+def _geodesic(name, p, v, t_end, samples=None, c=None, **kw):
+    field = get_model(name, c).field
+    t_eval = None if samples is None else np.linspace(0.0, t_end, samples)
+    return lambda: solve_ode(geodesic_rhs(field), 0.0, [*p, *v], t_end, t_eval=t_eval, **kw)
+
+
+def _jacobi(name, p, v, t_end, pairs, samples):
+    y0 = [*p, *v, 1.0, 0.0, 0.0, 1.0] + [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0][: 4 * pairs]
+    rhs = _jacobi_rhs(get_model(name).field, pairs)
+    return lambda: solve_ode(rhs, 0.0, y0, t_end, t_eval=np.linspace(0.0, t_end, samples))
+
+
+def _transport(t_end, samples):
+    # parallel transport along the H2 line (1 + s/2, s/5)
+    rhs = _transport_rhs(get_model("H2").field, lambda s: (1.0 + 0.5 * s, 0.2 * s),
+                         lambda s: np.array([0.5, 0.2]))
+    t_eval = np.linspace(0.0, t_end, samples)
+    return lambda: solve_ode(rhs, 0.0, [0.3, -1.1], t_end, rtol=1e-11, atol=1e-13,
+                             t_eval=t_eval)
+
+
+def _toy(f, y0, t_end, **kw):
+    return lambda: solve_ode(f, 0.0, y0, t_end, **kw)
+
+
+def _half_line(t, y):
+    if y[0] < 0.0:
+        raise DomainError("left the half line")
+    return np.array([-1.0])
+
+
+def _sqrt_speed(t, y):
+    v = 1.0 - y[0]
+    return np.array([math.nan]) if v < 0.0 else np.array([math.sqrt(v)])
+
+
+FLAT_B = ChristoffelField.type_b((0, 0, 0, 0, 0, 0))
+FROZEN_CASES = {
+    "S1": _geodesic("S1", (0.0, 0.0), (0.3, -0.2), 3.0, 21),
+    "S1-blowup": _geodesic("S1", (0.0, 0.0), (1.5, 0.0), 10.0, 21),
+    "S1-backward-knots": _geodesic("S1", (0.5, -1.0), (-0.4, 0.7), -4.0),
+    "S2": _geodesic("S2", (0.0, 0.0), (0.8, 0.6), 6.0, 31),
+    "S2-backward": _geodesic("S2", (0.0, 0.0), (0.8, 0.6), -6.0, 31),
+    "S3": _geodesic("S3", (0.1, -0.2), (1.0, 0.5), 4.0, 41),
+    "S3-backward-knots": _geodesic("S3", (0.1, -0.2), (-0.7, 0.9), -4.0, rtol=1e-8,
+                                   atol=1e-10),
+    "S3-backward-blowup": _geodesic("S3", (0.0, 0.0), (-1.0, 0.0), -5.0, 11),
+    "S4": _geodesic("S4", (1.0, 0.5), (0.4, -0.9), 5.0, 26, c="1/2"),
+    "S4-negative-c": _geodesic("S4", (2.0, 0.0), (-0.5, 1.0), -3.0, 16, c=-2),
+    "S5": _geodesic("S5", (1.0, 0.0), (0.3, 1.0), 5.0, 26),
+    "S5-toward-edge": _geodesic("S5", (1.0, 0.0), (-1.0, 0.2), 5.0, 26),
+    "H2": _geodesic("H2", (1.0, 0.1), (0.6, 0.8), 20.0, 41),
+    "H2-backward-knots": _geodesic("H2", (1.0, 0.1), (0.6, 0.8), -20.0),
+    "S3~": _geodesic("S3~", (0.75, 0.0), (0.5, 1.0), 10.0, 51, rtol=1e-8, atol=1e-10),
+    "S3~-backward": _geodesic("S3~", (0.75, 0.0), (-0.3, 0.4), -6.0, 31),
+    "pseudosphere": _geodesic("pseudosphere", (0.0, 0.0), (0.4, 1.0), 6.0, 31),
+    "pseudosphere-timelike": _geodesic("pseudosphere", (0.2, 0.5), (1.0, 0.3), -4.0, 21),
+    "L2-spacelike-blowup": _geodesic("L2", (1.0, 0.0), (0.0, 1.0), 3.0, 31),
+    "L2-spacelike-backward": _geodesic("L2", (1.0, 0.0), (0.0, 1.0), -3.0),
+    "L2-null": _geodesic("L2", (1.0, 0.0), (1.0, 1.0), 5.0, 11),
+    "L2-timelike": _geodesic("L2", (1.0, 0.0), (math.sqrt(2.0), 1.0), 3.0, 21),
+    "L2-vertical": _geodesic("L2", (2.0, 0.0), (1.0, 0.0), -1.0, 11),
+    "flat-B-edge": lambda: solve_ode(geodesic_rhs(FLAT_B), 0.0, [1.0, 0.0, -2.0, 0.5], 2.0,
+                                     t_eval=[0.1, 0.2, 0.3, 2.0]),
+    "H2-guard": lambda: solve_ode(geodesic_rhs(get_model("H2").field), 0.0,
+                                  [1.0, 0.0, -0.5, 0.5], 10.0,
+                                  guard=lambda t, y: "left_chart" if y[0] <= 0.6 else None),
+    "S3-budget": _geodesic("S3", (0.1, -0.2), (1.0, 0.5), 4.0, 41, max_steps=40),
+    "exp": _toy(lambda t, y: y, [1.0], 5.0, rtol=1e-12, atol=1e-14),
+    "exp-backward": _toy(lambda t, y: y, [1.0], -3.0, t_eval=[-1.0, -2.0, -3.0]),
+    "exp-max-step": _toy(lambda t, y: y, [1.0], 1.0, max_step=0.01),
+    "exp-first-step": _toy(lambda t, y: y, [1.0, -2.0], 2.0, first_step=0.5),
+    "oscillator": _toy(lambda t, y: np.array([y[1], -y[0]]), [1.0, 0.0], 2.0 * math.pi,
+                       rtol=1e-12, atol=1e-14),
+    "square-blowup": _toy(lambda t, y: y * y, [1.0], 5.0),
+    "overflow": _toy(lambda t, y: np.array([1e308]), [1.79e308], 1.0),
+    "domain-error": _toy(_half_line, [1.0], 5.0),
+    "nan-rhs": _toy(_sqrt_speed, [0.0], 10.0),
+    "guard": _toy(lambda t, y: y, [1.0], 5.0, max_step=0.05,
+                  guard=lambda t, y: "crossed" if y[0] > 2.0 else None),
+    "jacobi-d12-L2": _jacobi("L2", (1.0, 0.0), (0.0, 1.0), 1.45, 1, 41),
+    "jacobi-d16-pseudosphere": _jacobi("pseudosphere", (0.0, 0.0), (0.0, 1.0), 3.5, 2, 60),
+    "jacobi-d16-L2-timelike": _jacobi("L2", (1.0, 0.0), (math.sqrt(2.0), 1.0), 0.8, 2, 30),
+    "transport-d2": _transport(2.0, 17),
+    "transport-d2-backward": _transport(-1.5, 13),
+}
+
+
+def _bits(res):
+    digest = hashlib.sha256()
+    for values in (res.ts, res.ys, res.sample_ts, res.sample_ys):
+        digest.update(" ".join(float(v).hex() for v in np.ravel(values)).encode() + b"|")
+    return {
+        "status": res.status,
+        "message": res.message,
+        "nfev": res.nfev,
+        "t_final": float(res.t_final).hex(),
+        "t_escape": None if res.t_escape is None else float(res.t_escape).hex(),
+        "final": [float(v).hex() for v in res.ys[-1]],
+        "knots": len(res.ts),
+        "samples": len(res.sample_ts),
+        "digest": digest.hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+def test_solo_runs_keep_their_frozen_bits(case):
+    want = json.loads(BITS_TABLE.read_text())[case]
+    assert _bits(FROZEN_CASES[case]()) == want

@@ -127,6 +127,23 @@ def test_fit_reproduces_every_ivp_and_matches_integration():
         assert np.max(np.abs(pts - traj.x)) < 1e-8
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    x=st.tuples(st.floats(0.3, 3.0), st.floats(-2.0, 2.0)),
+    v=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+def test_numeric_geodesics_conserve_c_and_lambda(x, v):
+    # c = v2/x1**2 and lam = (v2**2 - v1**2)/x1**2 hold on every sample,
+    # escaping geodesics included, to well within the step tolerance,
+    # measured against the size |v|/x1**2 (|v|**2/x1**2) of the sample
+    traj = integrate_geodesic(L2.field, x, v, (-1.5, 1.5), samples=31)
+    c0, lam0 = conserved_quantities(x, v)
+    x1, v1, v2 = traj.x[:, 0], traj.v[:, 0], traj.v[:, 1]
+    size = (v1 * v1 + v2 * v2) / (x1 * x1)
+    assert np.all(np.abs(v2 / (x1 * x1) - c0) <= 1e-8 * np.sqrt(size) / x1)
+    assert np.all(np.abs((v2 * v2 - v1 * v1) / (x1 * x1) - lam0) <= 1e-8 * size)
+
+
 @st.composite
 def _launches(draw):
     """A launch in the null, timelike or spacelike family, any quadrant."""

@@ -40,7 +40,7 @@ from .errors import (
     IntegrationError,
 )
 from .fields import COEFF_NAMES, ChristoffelField, christoffel_at
-from .geodesics import integrate_geodesic
+from .geodesics import integrate_geodesic, write_trajectory_csv
 from .lorentz import fit_l2_geodesic
 from .sprays import (
     IsometryReport,
@@ -218,13 +218,6 @@ def cmd_classify(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _trajectory_csv(traj) -> str:
-    lines = ["t,x1,x2,v1,v2"]
-    for t, x, v in zip(traj.t, traj.x, traj.v):
-        lines.append(",".join(f"{val:.17g}" for val in (t, x[0], x[1], v[0], v[1])))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_geodesic(args, cfg: dict) -> int:
     model = parse_model_spec(args.model)
     p0 = _parse_floats(args.p0, 2, "--p0")
@@ -242,7 +235,7 @@ def cmd_geodesic(args, cfg: dict) -> int:
 
     fmt = cfg["format"]
     if fmt == "csv":
-        _emit(_trajectory_csv(traj), cfg["out"])
+        _emit(write_trajectory_csv(traj), cfg["out"])
     elif fmt == "svg":
         pad_x = 0.05 * max(np.ptp(traj.x[:, 0]), 1e-6)
         pad_y = 0.05 * max(np.ptp(traj.x[:, 1]), 1e-6)
@@ -283,11 +276,7 @@ def cmd_expmap(args, cfg: dict) -> int:
     if cfg["format"] == "svg":
         _emit(coverage_svg(cover), cfg["out"])
     else:
-        lines = [
-            ",".join(str(int(v)) for v in cover.grid[:, j])
-            for j in range(cover.grid.shape[1] - 1, -1, -1)
-        ]
-        _emit("\n".join(lines) + "\n", cfg["out"])
+        _emit(cover.to_csv(), cfg["out"])
     counts = cover.counts()
     print(f"model: {model.name}")
     print(f"cells: {cover.grid.shape[0]}x{cover.grid.shape[1]}")

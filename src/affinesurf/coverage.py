@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# Not called here: benchmarks/tracing.py wraps this name when it installs.
-from scipy.optimize import brentq  # noqa: F401
 
 from .catalog import get_model
 from .errors import DomainError
@@ -30,6 +28,9 @@ from .fields import ChristoffelField
 # attribute for tools that wrap it here, such as benchmarks/tracing.py.
 from .geodesics import integrate_geodesic, integrate_geodesics  # noqa: F401
 from .lorentz import fit_l2_geodesic
+
+# Wrapped by benchmarks/tracing.py; nothing here finds roots any more.
+brentq = None
 
 __all__ = [
     "UNREACHED",
@@ -84,13 +85,18 @@ class CoverageMap:
             "unknown": int(np.sum(self.grid == UNKNOWN)),
         }
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path=None) -> str | None:
         """Rows run over the second coordinate from high to low (image
-        order); columns over the first coordinate from low to high."""
+        order); columns over the first coordinate from low to high.  With
+        no ``path`` the CSV text is returned instead."""
+        text = "".join(
+            ",".join(str(int(v)) for v in self.grid[:, j]) + "\n"
+            for j in range(self.grid.shape[1] - 1, -1, -1)
+        )
+        if path is None:
+            return text
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for j in range(self.grid.shape[1] - 1, -1, -1):
-                fh.write(",".join(str(int(v)) for v in self.grid[:, j]))
-                fh.write("\n")
+            fh.write(text)
 
 
 def _window_edges(window, cells):

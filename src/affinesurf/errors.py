@@ -24,8 +24,8 @@ class NoMetricError(AffineSurfaceError):
 
 
 class ClassificationInconclusiveError(AffineSurfaceError):
-    """Orbit search exhausted its start budget without reaching the
-    acceptance residual."""
+    """No verdict: the chart's Gamma does not factor as a normal form
+    predicts, or the witness leaves a residual above the tolerance."""
 
 
 class ParamOutOfDomainError(AffineSurfaceError, ValueError):

@@ -156,7 +156,6 @@ def integrate_geodesic(
     samples: int = 201,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float = math.inf,
     chart_floor: float = 0.0,
     max_steps: int = 500_000,
 ) -> GeodesicTrajectory:
@@ -185,7 +184,6 @@ def integrate_geodesic(
             t_end,
             rtol=rtol,
             atol=atol,
-            max_step=max_step,
             t_eval=t_eval,
             guard=guard,
             max_steps=max_steps,
@@ -272,7 +270,6 @@ def exp_map(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    chart_floor: float = 0.0,
     max_steps: int = 500_000,
 ) -> Point2 | Incomplete:
     """Exponential map: follow the geodesic for unit parameter time.
@@ -284,9 +281,6 @@ def exp_map(
     p, v = _check_ivp(field, point, velocity)
     if v == (0.0, 0.0):
         return Point2(p[0], p[1])
-    guard = None
-    if chart_floor > 0.0 and field.kind == KIND_B:
-        guard = lambda t, y: "left_chart" if y[0] <= chart_floor else None
     res = solve_ode(
         geodesic_rhs(field),
         0.0,
@@ -294,7 +288,6 @@ def exp_map(
         1.0,
         rtol=rtol,
         atol=atol,
-        guard=guard,
         max_steps=max_steps,
     )
     status = _status_of(field, res)
@@ -304,10 +297,16 @@ def exp_map(
     return Incomplete(status=status, t_escape=res.t_escape)
 
 
-def write_trajectory_csv(traj: GeodesicTrajectory, path) -> None:
-    """Write samples as CSV with full float precision (17 significant digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x1,x2,v1,v2\n")
-        for i in range(traj.t.shape[0]):
-            row = (traj.t[i], traj.x[i, 0], traj.x[i, 1], traj.v[i, 0], traj.v[i, 1])
-            fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+def write_trajectory_csv(traj: GeodesicTrajectory, path=None) -> str | None:
+    """Write samples as CSV with full float precision (17 significant digits).
+
+    With no ``path`` the CSV text is returned instead.
+    """
+    lines = ["t,x1,x2,v1,v2"]
+    for t, x, v in zip(traj.t, traj.x, traj.v):
+        lines.append(",".join(f"{val:.17g}" for val in (t, x[0], x[1], v[0], v[1])))
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        return text
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)

@@ -122,10 +122,10 @@ def _step_factor(err_norm: float) -> float:
     return 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
 
 
-def _diagnose(y, blowup_norm: float) -> tuple[str, float]:
+def _diagnose(y) -> tuple[str, float]:
     """Stop status of collapsed steps, from the size of the state."""
     norm = float(np.max(np.abs(y)))
-    return ("blowup" if norm >= blowup_norm else "stalled"), norm
+    return ("blowup" if norm >= _BLOWUP_NORM else "stalled"), norm
 
 
 def _escape_time(t: float, direction: float, prev_h: float, last_h: float) -> float:
@@ -196,8 +196,6 @@ def solve_ode(
     first_step: float | None = None,
     t_eval=None,
     guard: Callable | None = None,
-    blowup_norm: float = _BLOWUP_NORM,
-    min_step: float = _MIN_STEP,
     max_steps: int = 500_000,
 ) -> IntegrationResult:
     """Integrate y' = f(t, y) from t0 to t_end with adaptive steps.
@@ -251,7 +249,7 @@ def solve_ode(
         h = min(_first_step(y, k1, span, rtol, atol), max_step)
     else:
         h = min(abs(first_step), span, max_step)
-    h = max(h, min_step)
+    h = max(h, _MIN_STEP)
 
     knots_t = [t]
     knots_y = [y]
@@ -293,13 +291,13 @@ def solve_ode(
                 hit_eval = True
         hs = direction * h_clip
 
-        if h_clip < min_step and not hit_eval:
+        if h_clip < _MIN_STEP and not hit_eval:
             # steps have collapsed: diagnose and extrapolate the stop time
-            status, norm = _diagnose(y, blowup_norm)
+            status, norm = _diagnose(y)
             message = f"step collapsed to {h_clip:.3e} at t={t:.12g} (|y|={norm:.3e})"
             break
         if t + hs == t:
-            status, _ = _diagnose(y, blowup_norm)
+            status, _ = _diagnose(y)
             message = f"step underflow at t={t:.12g}"
             break
 
@@ -320,8 +318,8 @@ def solve_ode(
 
         if k7 is None or not all(map(math.isfinite, y5)):
             h = h_clip * 0.2
-            if h < min_step:
-                status, _ = _diagnose(y, blowup_norm)
+            if h < _MIN_STEP:
+                status, _ = _diagnose(y)
                 message = f"right-hand side failed near t={t:.12g}"
                 # the stop is within the collapsed attempt of t, not a full
                 # accepted step: do not extrapolate from the step history
@@ -471,7 +469,7 @@ def solve_ode_batch(
                     t, direction, float(s.prev_h[i]), float(s.last_h[i]))
 
     def collapsed(i):
-        status, norm = _diagnose(s.y[i], _BLOWUP_NORM)
+        status, norm = _diagnose(s.y[i])
         return status, f"step collapsed to {h_clip[i]:.3e} at t={s.t[i]:.12g} (|y|={norm:.3e})"
 
     # All rows start together, so every live row has been through as many
@@ -497,7 +495,7 @@ def solve_ode_batch(
                 stop(reached, lambda i: ("reached", ""))
                 stop(short, collapsed)
                 stop(halt & ~reached & ~short, lambda i: (
-                    _diagnose(s.y[i], _BLOWUP_NORM)[0], f"step underflow at t={s.t[i]:.12g}"))
+                    _diagnose(s.y[i])[0], f"step underflow at t={s.t[i]:.12g}"))
                 s.drop(halt)
                 keep = ~halt
                 h_clip, hit, h_signed = h_clip[keep], hit[keep], h_signed[keep]
@@ -547,7 +545,7 @@ def solve_ode_batch(
                     # full accepted step: do not extrapolate from the
                     # step history
                     s.prev_h = np.where(gave_up, math.nan, s.prev_h)
-                    stop(gave_up, lambda i: (_diagnose(s.y[i], _BLOWUP_NORM)[0],
+                    stop(gave_up, lambda i: (_diagnose(s.y[i])[0],
                                              f"right-hand side failed near t={s.t[i]:.12g}"))
                     s.drop(gave_up)
         else:

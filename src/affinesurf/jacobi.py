@@ -10,16 +10,18 @@ coefficients a with J = a1 e1 + a2 e2 and the equation becomes
 with E the chart matrix of the frame.  Conjugate points of sigma(0) are
 found from two Jacobi fields with J(0) = 0 and independent initial
 derivatives: the parameter values where their coefficient determinant
-vanishes again.
+vanishes again.  Each sign change on the scan grid is refined by Brent's
+method (Brent 1973, *Algorithms for Minimization without Derivatives*,
+ch. 4), ported here as ``brentq``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curvature import curvature_at
 from .errors import FrameDegenerateError, InvalidIVPError
@@ -28,6 +30,62 @@ from .geodesics import _check_ivp, _status_of, geodesic_rhs
 from .integrate import solve_ode
 
 __all__ = ["JacobiSolution", "integrate_jacobi", "conjugate_points"]
+
+
+def brentq(f, a: float, b: float, *, xtol: float = 2e-12, maxiter: int = 100) -> float:
+    """A root of f in the bracket [a, b] by Brent's method.
+
+    Step for step the algorithm of SciPy's ``brentq``, so it returns the
+    same float: an inverse quadratic or secant step while it shrinks the
+    bracket fast enough, bisection otherwise.  Raises ValueError when f(a)
+    and f(b) have the same sign or f returns NaN, and RuntimeError when
+    ``maxiter`` iterations do not converge.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # converged once the bracket [xcur, xblk] is shorter than 2 * delta;
+        # the relative part is SciPy's default rtol, four float epsilons
+        delta = (xtol + 4 * sys.float_info.epsilon * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        if short:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def _frame_matrix(y: np.ndarray) -> np.ndarray:
@@ -243,7 +301,7 @@ def conjugate_points(
         if a == 0.0 and abs(ts[i]) > 1e-12:
             roots.append(float(ts[i]))
         elif a * b < 0.0:
-            roots.append(float(brentq(det_at, float(ts[i]), float(ts[i + 1]), xtol=1e-12)))
+            roots.append(brentq(det_at, ts[i], ts[i + 1], xtol=1e-12))
         elif (
             scale > 0.0
             and abs(a) < det_tol * scale

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .catalog import NamedModel, get_model
 from .errors import (
@@ -66,10 +65,6 @@ class XSquaredMetric:
     @staticmethod
     def components(s: float, t: float) -> tuple[float, float, float]:
         return (t * t, 1.0, 0.0)
-
-    @staticmethod
-    def matrix(s: float, t: float) -> np.ndarray:
-        return np.array([[t * t, 1.0], [1.0, 0.0]])
 
 
 # ----------------------------------------------------------------------
@@ -669,6 +664,34 @@ def verify_composition(window=(0.5, 3.0, -0.4, 2.0), n: int = 41) -> IsometryRep
     )
 
 
+def _x1_neighbours(pts: np.ndarray):
+    """Pairs of points in the order of their x1 gap, a few at a time.
+
+    With the points sorted by x1, yields for k = 1, 2, ... the index arrays
+    (i, j) that pair each point with its k-th successor, the squared
+    distances of those pairs (coordinate squares summed in order), and their
+    smallest x1 gap.  That gap never falls as k grows, so once it exceeds r
+    no pair yet to come is within distance r.
+    """
+    order = np.argsort(pts[:, 0], kind="stable")
+    p = pts[order]
+    for k in range(1, len(p)):
+        d = p[k:] - p[:-k]
+        yield order[:-k], order[k:], (d * d).sum(axis=1), float(d[:, 0].min())
+
+
+def _close_pairs(pts: np.ndarray, radius: float) -> list[tuple[int, int]]:
+    """Index pairs i < j with |pts[i] - pts[j]| <= radius, sorted."""
+    r2 = radius * radius
+    pairs = []
+    for i, j, d2, gap in _x1_neighbours(pts):
+        if gap * gap > r2:
+            break
+        hit = d2 <= r2
+        pairs += zip(np.minimum(i, j)[hit].tolist(), np.maximum(i, j)[hit].tolist())
+    return sorted(pairs)
+
+
 def injectivity_gap(map_fn, grid) -> float:
     """Smallest distance between images of distinct grid nodes."""
     s_vals, t_spec = grid
@@ -678,8 +701,12 @@ def injectivity_gap(map_fn, grid) -> float:
         for t in np.asarray(t_vals, dtype=float):
             pts.append(np.real(map_fn(float(s), float(t))))
     pts = np.asarray(pts)
-    dists, _ = cKDTree(pts).query(pts, k=2)
-    return float(np.min(dists[:, 1]))
+    best = math.inf  # the smallest squared distance so far
+    for _, _, d2, gap in _x1_neighbours(pts):
+        if gap * gap > best:
+            break
+        best = min(best, float(d2.min()))
+    return math.sqrt(best)
 
 
 # ----------------------------------------------------------------------
@@ -690,9 +717,10 @@ class SpineFindings:
     """Sampled defects of a spine chart over a window.
 
     ``collision`` holds ((s, t), (s', t'), gap) for the closest pair of
-    well-separated nodes with nearly equal images, or None when no pair
-    comes within ``collision_tol``.  ``unreached_cells`` counts window
-    cells missed by every sampled chart point.
+    well-separated nodes with nearly equal images (the first in node order
+    among equal gaps), or None when no pair comes within ``collision_tol``.
+    ``unreached_cells`` counts window cells missed by every sampled chart
+    point.
     """
 
     label: str
@@ -728,11 +756,9 @@ def spine_findings(
     pts = np.asarray(pts)
     nodes = np.asarray(nodes)
 
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(collision_tol, output_type="ndarray")
     collision = None
     min_gap = math.inf
-    for i, j in pairs:
+    for i, j in _close_pairs(pts, collision_tol):
         if float(np.max(np.abs(nodes[i] - nodes[j]))) < separation:
             continue
         gap = float(np.linalg.norm(pts[i] - pts[j]))

@@ -4,12 +4,15 @@ config precedence, and byte-identical reruns."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import affinesurf
 from affinesurf import cli
 from affinesurf.errors import ClassificationInconclusiveError
 from affinesurf.geodesics import GeodesicTrajectory
@@ -367,3 +370,19 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["spray"]["grid"] == 41
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(affinesurf.__file__).resolve().parents[1])
+        code = (
+            "import sys, affinesurf; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

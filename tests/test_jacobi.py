@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from affinesurf import jacobi
 from affinesurf.catalog import get_model
 from affinesurf.errors import DomainError, FrameDegenerateError, InvalidIVPError
 from affinesurf.fields import ChristoffelField
-from affinesurf.jacobi import _jacobi_rhs, conjugate_points, integrate_jacobi
+from affinesurf.jacobi import _jacobi_rhs, brentq, conjugate_points, integrate_jacobi
 from affinesurf.lorentz import l2_inner
 
 L2 = get_model("L2")
@@ -118,3 +119,75 @@ def test_bad_ivp_propagates():
         integrate_jacobi(
             L2.field, (-1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0), 1.0
         )
+
+
+# ----------------------------------------------------------------------------
+# the Brent root finder
+
+
+def _brent_outcome(solver, f, a, b, **kw):
+    """The root's bits, or the type of the error raised."""
+    try:
+        return solver(f, a, b, **kw).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+def test_brentq_matches_scipy_bit_for_bit_on_random_brackets():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(11)
+    shapes = (
+        lambda c, k: lambda x: math.tanh(k * (x - c)),
+        lambda c, k: lambda x: k * (x - c) ** 3 + 1e-3 * math.sin(7.0 * x),
+        lambda c, k: lambda x: math.sin(k * x) - 0.3,
+        lambda c, k: lambda x: math.exp(x) - k,
+        lambda c, k: lambda x: math.copysign(abs(x - c) ** 0.2, x - c),
+    )
+    unconverged = 0
+    for _ in range(400):
+        c, k = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0)
+        a, b = rng.uniform(-5.0, 0.0), rng.uniform(0.0, 5.0)
+        for shape in shapes:
+            f = shape(c, k)
+            for kw in ({}, {"xtol": 1e-12}, {"maxiter": int(rng.integers(1, 8))}):
+                want = _brent_outcome(scipy_optimize.brentq, f, a, b, **kw)
+                assert _brent_outcome(brentq, f, a, b, **kw) == want, (a, b, c, k, kw)
+                unconverged += want == "RuntimeError"
+    # the small maxiter budgets reach the RuntimeError path as well
+    assert unconverged > 0
+
+
+def test_conjugate_point_refinement_matches_scipy_brentq(monkeypatch):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    launches = [((0.0, 0.0), (0.0, 1.0), 3.5), ((0.0, 0.2), (0.0, 1.1), 3.5 / 1.1)]
+    ours = [conjugate_points(PSEUDO.field, p, v, t) for p, v, t in launches]
+    monkeypatch.setattr(jacobi, "brentq", scipy_optimize.brentq)
+    theirs = [conjugate_points(PSEUDO.field, p, v, t) for p, v, t in launches]
+    assert all(ours)
+    assert [[r.hex() for r in roots] for roots in ours] == [
+        [float(r).hex() for r in roots] for roots in theirs
+    ]
+
+
+def test_brentq_returns_an_exact_end_point_root():
+    assert brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    assert brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+
+def test_brentq_rejects_a_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_brentq_rejects_nan_values():
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+    # a NaN inside the bracket, met by the first interpolation step
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if 0.4 < x < 0.9 else x - 0.75, 0.0, 1.0)
+
+
+def test_brentq_reports_an_exhausted_iteration_budget():
+    with pytest.raises(RuntimeError, match="after 3 iterations"):
+        brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, maxiter=3)
+    assert abs(brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0) - 2.0 ** (1.0 / 3.0)) < 1e-12

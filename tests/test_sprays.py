@@ -18,7 +18,9 @@ from affinesurf.lorentz import l2_metric
 from affinesurf.pseudosphere import minkowski_inner
 from affinesurf.sprays import (
     IsometryReport,
+    SprayChart,
     XSquaredMetric,
+    _close_pairs,
     build_spray,
     injectivity_gap,
     invert_T_L2,
@@ -364,10 +366,58 @@ def horizontal():
     return spine_findings(spine_sprays("horizontal"), n_s=41, n_t=41)
 
 
+def _folding_chart() -> SprayChart:
+    """The closed map (s, t) -> (s^2, t): nodes (s, t) and (-s, t) collide."""
+    return SprayChart(
+        label="fold",
+        kind="closed-chart",
+        sigma=lambda s: np.array([s * s, 0.0]),
+        sigma_vel=lambda s: np.array([2.0 * s, 0.0]),
+        xi=lambda s: np.array([0.0, 1.0]),
+        s_range=(-1.0, 1.0),
+        closed_map=lambda s, t: np.array([s * s, t]),
+    )
+
+
 class TestSpineFindings:
     def test_no_collisions_measured(self, vertical, horizontal):
         assert vertical.collision is None
         assert horizontal.collision is None
+
+    def test_folding_chart_collision_is_the_closest_mirror_pair(self):
+        found = spine_findings(_folding_chart(), n_s=11, n_t=7)
+        (s1, t1), (s2, t2), gap = found.collision
+        assert t1 == t2
+        assert s1 < 0.0 < s2
+        assert abs(s1 + s2) < 1e-12
+        assert gap == found.min_pair_gap < 1e-6
+        # oracle: every well-separated node pair, compared directly
+        s_vals = np.linspace(-0.99, 0.99, 11)
+        t_vals = np.linspace(-6.0 + 0.012, 6.0 - 0.012, 7)
+        nodes = [(s, t) for s in s_vals for t in t_vals]
+        gaps = [
+            float(np.linalg.norm([a[0] ** 2 - b[0] ** 2, a[1] - b[1]]))
+            for i, a in enumerate(nodes)
+            for b in nodes[i + 1:]
+            if max(abs(a[0] - b[0]), abs(a[1] - b[1])) >= 0.25
+        ]
+        assert gap == min(gaps)
+
+    def test_close_pairs_match_kd_tree_on_random_clouds(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            n, dim = int(rng.integers(2, 300)), int(rng.integers(2, 4))
+            pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+            if trial % 3 == 0:
+                pts = np.round(pts * 8.0) / 8.0  # repeated x1 values and points
+            r = float(rng.uniform(0.01, 0.3))
+            tree = spatial.cKDTree(pts)
+            want = sorted(map(tuple, tree.query_pairs(r, output_type="ndarray").tolist()))
+            assert _close_pairs(pts, r) == want
+            nearest = float(np.min(tree.query(pts, k=2)[0][:, 1]))
+            cloud = (np.arange(n), [0.0])
+            assert injectivity_gap(lambda s, t: pts[int(s)], cloud) == nearest
 
     def test_both_charts_miss_window_cells(self, vertical, horizontal):
         assert 0 < vertical.unreached_cells < vertical.total_cells

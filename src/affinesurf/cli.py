@@ -164,6 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _effective(args, file_cfg: dict) -> dict:
     cfg = dict(DEFAULTS[args.command])
     section = file_cfg.get(args.command, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {args.command!r} must be a JSON object")
     for key in cfg:
         if key in section:
             cfg[key] = section[key]
@@ -293,27 +295,16 @@ def _spine_report(kind: str, n: int) -> tuple[IsometryReport, float, str]:
     else:
         s_vals = np.linspace(0.4, 3.0, n)
         t_vals = np.linspace(-1.5, 0.25, n)
-    grid = spray_metric_grid(chart, s_vals, t_vals)
-    rows = []
-    for i, s in enumerate(s_vals):
-        for j, t in enumerate(t_vals):
-            want = chart.expected_form(s, t)
-            rows.append((
-                s, t,
-                grid[i, j, 0] - want[0],
-                grid[i, j, 1] - want[1],
-                grid[i, j, 2] - want[2],
-            ))
-    report = IsometryReport(
-        label=chart.label,
-        columns=("s", "t", "d_ss", "d_st", "d_tt"),
-        rows=np.array(rows),
-    )
-    return report, 1e-6, "1e-6"
+    nodes = [(s, t) for s in s_vals for t in t_vals]
+    got = spray_metric_grid(chart, s_vals, t_vals).reshape(-1, 3)
+    want = [chart.expected_form(s, t) for s, t in nodes]
+    return IsometryReport.of(chart.label, nodes, got, want), 1e-6, "1e-6"
 
 
 def cmd_spray(args, cfg: dict) -> int:
     n = int(cfg["grid"])
+    if n < 1:
+        raise ValueError(f"--grid must be at least 1, got {n}")
     target = args.verify
     if target == "TS2":
         report = verify_isometry(

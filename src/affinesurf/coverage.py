@@ -188,6 +188,8 @@ def _l2_coverage(base, x_edges, y_edges, *, tol: float) -> np.ndarray:
 def _sweep_coverage(
     field: ChristoffelField, base, x_edges, y_edges, *, angles: int, t_max: float
 ) -> np.ndarray:
+    if angles < 1:
+        raise ValueError(f"angles must be positive, got {angles}")
     grid = np.full((len(x_edges) - 1, len(y_edges) - 1), UNKNOWN, dtype=int)
     thetas = (2.0 * math.pi * k / angles for k in range(angles))
     velocities = [(math.cos(th), math.sin(th)) for th in thetas]

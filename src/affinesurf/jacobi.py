@@ -88,9 +88,21 @@ def brentq(f, a: float, b: float, *, xtol: float = 2e-12, maxiter: int = 100) ->
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
+def _pack_state(point, velocity, frame, *coeffs) -> np.ndarray:
+    """The state ``_jacobi_rhs`` steps: x, v, the frame legs e1 and e2 (the
+    columns of ``frame``), then a and a' of each Jacobi field in turn."""
+    parts = (point, velocity, frame[:, 0], frame[:, 1], *coeffs)
+    return np.concatenate([np.asarray(c, dtype=float) for c in parts])
+
+
 def _frame_matrix(y: np.ndarray) -> np.ndarray:
     """Columns e1, e2 of the transported frame from the packed state."""
     return np.array([[y[4], y[6]], [y[5], y[7]]])
+
+
+def _chart_vectors(y: np.ndarray):
+    """Point, velocity and the first Jacobi field in chart components."""
+    return y[0:2], y[2:4], _frame_matrix(y) @ y[8:10]
 
 
 def _jacobi_rhs(field: ChristoffelField, n_pairs: int):
@@ -198,9 +210,7 @@ def integrate_jacobi(
     """Integrate one Jacobi field with frame coefficients (a0, adot0)."""
     p, v = _check_ivp(field, point, velocity)
     e = _validate_frame(frame)
-    y0 = np.concatenate(
-        [p, v, e[:, 0], e[:, 1], np.asarray(a0, float), np.asarray(adot0, float)]
-    )
+    y0 = _pack_state(p, v, e, a0, adot0)
     cap, cap_status, cap_escape = _reachable_cap(field, p, v, t_max, rtol, atol)
     grid = np.linspace(0.0, cap, samples)
     res = solve_ode(
@@ -252,18 +262,8 @@ def conjugate_points(
     p, v = _check_ivp(field, point, velocity)
     if v == (0.0, 0.0):
         raise InvalidIVPError("conjugate points need a nonzero velocity")
-    y0 = np.concatenate(
-        [
-            p,
-            v,
-            (1.0, 0.0),
-            (0.0, 1.0),
-            (0.0, 0.0),
-            (1.0, 0.0),  # first field: a = 0, a' = e1 coefficient
-            (0.0, 0.0),
-            (0.0, 1.0),  # second field: a = 0, a' = e2 coefficient
-        ]
-    )
+    # both fields start at a = 0, with a' the e1 and then the e2 coefficient
+    y0 = _pack_state(p, v, np.eye(2), (0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 1.0))
     rhs = _jacobi_rhs(field, 2)
     cap, _, _ = _reachable_cap(field, p, v, t_max, rtol, atol)
     if cap <= 0.0:

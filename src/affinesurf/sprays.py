@@ -8,6 +8,11 @@ carries the explicit closed charts into the pseudosphere and the Lorentz
 half-plane, numeric chart construction for arbitrary catalog models with a
 metric, the two spine charts (normal exponential maps of a unit geodesic),
 and grid verification utilities.
+
+Every closed map, whether a chart or the composition T_S2 after the
+inverse of T_L2, is pulled back by one complex-step helper (``_pullback``),
+and every defect report is built by ``IsometryReport.of`` with rows
+(a, b, got - want).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
 from .fields import ChristoffelField, christoffel_at
 from .geodesics import integrate_geodesic
 from .integrate import solve_ode
-from .jacobi import _jacobi_rhs
+from .jacobi import _chart_vectors, _jacobi_rhs, _pack_state
 from .lorentz import fit_l2_geodesic, l2_metric
 from .pseudosphere import minkowski_inner
 
@@ -141,7 +146,6 @@ class SprayChart:
     field: ChristoffelField | None = None
     metric: Callable | None = None
     closed_map: Callable | None = None
-    xi_cov_vel: Callable | None = None
     t_domain_fn: Callable | None = None
     expected_form: Callable | None = None
     _fit_cache: dict = dataclass_field(default_factory=dict, repr=False)
@@ -182,9 +186,6 @@ class SprayChart:
                 f"chart geodesic at s={s} stopped ({status}) before t={t}"
             )
         return traj.x[-1] if t > 0.0 else traj.x[0]
-
-    def metric_components(self, s: float, t: float) -> tuple[float, float, float]:
-        return spray_metric(self, s, t)
 
 
 def _as_curve(sigma) -> tuple[Callable, Callable]:
@@ -300,7 +301,6 @@ def build_spray(model, sigma, xi0, s_range, t_range=None, *, tol: float = 1e-8) 
         s_range=(s_lo, s_hi),
         field=fld,
         metric=metric,
-        xi_cov_vel=lambda s: np.zeros(2),
         t_domain_fn=(lambda s: t_range) if t_range is not None else None,
     )
 
@@ -340,7 +340,6 @@ def l2_null_spray() -> SprayChart:
         field=get_model("L2").field,
         metric=l2_metric,
         closed_map=map_T_L2,
-        xi_cov_vel=lambda s: np.zeros(2),
         t_domain_fn=lambda s: (-math.inf, 2.0 / s),
     )
 
@@ -452,7 +451,6 @@ def spine_sprays(kind: str) -> SprayChart:
         s_range=s_range,
         field=fld,
         metric=l2_metric,
-        xi_cov_vel=lambda s: np.zeros(2),
         expected_form=expected,
     )
 
@@ -463,11 +461,16 @@ def spine_sprays(kind: str) -> SprayChart:
 _CS_H = 1e-20
 
 
-def _complex_step_partials(map_fn, s: float, t: float):
-    base = np.real(map_fn(s, t))
+def _pullback(map_fn, metric, s: float, t: float) -> tuple[float, float, float]:
+    """(g_ss, g_st, g_tt) of ``metric`` pulled back through the closed map
+    at (s, t), with both partials taken by complex step.  ``metric`` maps a
+    point to its metric matrix; None means Minkowski 3-space."""
     ds = np.imag(map_fn(s + 1j * _CS_H, t)) / _CS_H
     dt = np.imag(map_fn(s, t + 1j * _CS_H)) / _CS_H
-    return base, ds, dt
+    if metric is None:
+        return minkowski_inner(ds, ds), minkowski_inner(ds, dt), minkowski_inner(dt, dt)
+    g = metric(np.real(map_fn(s, t)))
+    return ds @ g @ ds, ds @ g @ dt, dt @ g @ dt
 
 
 def _fd4_partial_s(point_fn, s: float, t: float, h: float) -> np.ndarray:
@@ -485,12 +488,12 @@ def _fd4_partial_s(point_fn, s: float, t: float, h: float) -> np.ndarray:
 
 def _variation_column(chart: SprayChart, s: float, ts: np.ndarray):
     """Chart point, t-partial and s-partial at every t in ``ts`` (sorted,
-    one sign) along the geodesic of a numeric chart."""
+    one sign) along the geodesic of a numeric chart.  The s-partial is the
+    Jacobi field with J(0) = sigma'(s) and J'(0) = 0, as xi is parallel."""
     p0 = chart.sigma(s)
     v0 = np.asarray(chart.xi(s), dtype=float)
     a0 = chart.sigma_vel(s)
-    adot0 = chart.xi_cov_vel(s)
-    y0 = np.concatenate([p0, v0, [1.0, 0.0], [0.0, 1.0], a0, adot0])
+    y0 = _pack_state(p0, v0, np.eye(2), a0, (0.0, 0.0))
     out = {}
     nonzero = ts[ts != 0.0]
     if 0.0 in ts or ts.size != nonzero.size:
@@ -505,8 +508,7 @@ def _variation_column(chart: SprayChart, s: float, ts: np.ndarray):
                 f"variation integration stopped ({res.status}) at s={s}"
             )
         for t_k, y in zip(res.sample_ts, res.sample_ys):
-            emat = np.array([[y[4], y[6]], [y[5], y[7]]])
-            out[float(t_k)] = (y[0:2], y[2:4], emat @ y[8:10])
+            out[float(t_k)] = _chart_vectors(y)
     return out
 
 
@@ -528,20 +530,10 @@ def spray_metric_grid(chart: SprayChart, s_vals, t_vals) -> np.ndarray:
     t_vals = np.asarray(t_vals, dtype=float)
     out = np.empty((s_vals.size, t_vals.size, 3))
 
-    if chart.kind in ("closed-chart", "closed-ambient"):
-        ambient = chart.kind == "closed-ambient"
+    if chart.closed_map is not None:
         for i, s in enumerate(s_vals):
             for j, t in enumerate(t_vals):
-                base, ds, dt = _complex_step_partials(chart.closed_map, s, t)
-                if ambient:
-                    out[i, j] = (
-                        minkowski_inner(ds, ds),
-                        minkowski_inner(ds, dt),
-                        minkowski_inner(dt, dt),
-                    )
-                else:
-                    g = chart.metric(base)
-                    out[i, j] = (ds @ g @ ds, ds @ g @ dt, dt @ g @ dt)
+                out[i, j] = _pullback(chart.closed_map, chart.metric, s, t)
         return out
 
     if chart.kind == "fit":
@@ -583,6 +575,13 @@ class IsometryReport:
     columns: tuple
     rows: np.ndarray
 
+    @classmethod
+    def of(cls, label: str, nodes, got, want, columns=("s", "t", "d_ss", "d_st", "d_tt")):
+        """Rows (a, b, got - want): each node (a, b) with the defects of the
+        pulled-back components ``got`` against the wanted ``want``."""
+        defects = np.asarray(got, dtype=float) - np.asarray(want, dtype=float)
+        return cls(label, columns, np.column_stack([np.asarray(nodes, dtype=float), defects]))
+
     @property
     def max_defect(self) -> float:
         return float(np.max(np.abs(self.rows[:, 2:])))
@@ -610,30 +609,15 @@ def verify_isometry(map_fn, target, grid, *, label: str = "chart") -> IsometryRe
     matrix; ``grid`` is (s_values, t_values) with t_values an array or a
     callable s -> array.  Rows are (s, t, d_ss, d_st, d_tt).
     """
-    if target == "minkowski":
-        inner = lambda p, a, b: minkowski_inner(a, b)
-    elif target == "L2":
-        inner = lambda p, a, b: float(a @ l2_metric(p) @ b)
-    else:
-        inner = lambda p, a, b: float(a @ target(p) @ b)
-
+    metric = None if target == "minkowski" else l2_metric if target == "L2" else target
     s_vals, t_spec = grid
-    rows = []
+    nodes = []
     for s in np.asarray(s_vals, dtype=float):
         t_vals = t_spec(s) if callable(t_spec) else t_spec
-        for t in np.asarray(t_vals, dtype=float):
-            base, ds, dt = _complex_step_partials(map_fn, float(s), float(t))
-            want = XSquaredMetric.components(s, t)
-            rows.append((
-                s, t,
-                inner(base, ds, ds) - want[0],
-                inner(base, ds, dt) - want[1],
-                inner(base, dt, dt) - want[2],
-            ))
-    return IsometryReport(
-        label=label, columns=("s", "t", "d_ss", "d_st", "d_tt"),
-        rows=np.array(rows),
-    )
+        nodes += [(s, t) for t in np.asarray(t_vals, dtype=float)]
+    got = [_pullback(map_fn, metric, float(s), float(t)) for s, t in nodes]
+    want = [XSquaredMetric.components(s, t) for s, t in nodes]
+    return IsometryReport.of(label, nodes, got, want)
 
 
 def verify_composition(window=(0.5, 3.0, -0.4, 2.0), n: int = 41) -> IsometryReport:
@@ -644,23 +628,16 @@ def verify_composition(window=(0.5, 3.0, -0.4, 2.0), n: int = 41) -> IsometryRep
     def composed(x1, x2):
         return map_T_S2(*invert_T_L2((x1, x2)))
 
-    x1_vals = np.linspace(window[0], window[1], n)
-    x2_vals = np.linspace(window[2], window[3], n)
-    rows = []
-    for x1 in x1_vals:
-        for x2 in x2_vals:
-            base, d1, d2 = _complex_step_partials(composed, float(x1), float(x2))
-            want = l2_metric((x1, x2))
-            rows.append((
-                x1, x2,
-                minkowski_inner(d1, d1) - want[0, 0],
-                minkowski_inner(d1, d2) - want[0, 1],
-                minkowski_inner(d2, d2) - want[1, 1],
-            ))
-    return IsometryReport(
-        label="composition T_S2 after invert_T_L2",
+    nodes = [
+        (x1, x2)
+        for x1 in np.linspace(window[0], window[1], n)
+        for x2 in np.linspace(window[2], window[3], n)
+    ]
+    got = [_pullback(composed, None, float(x1), float(x2)) for x1, x2 in nodes]
+    want = [l2_metric(x)[[0, 0, 1], [0, 1, 1]] for x in nodes]
+    return IsometryReport.of(
+        "composition T_S2 after invert_T_L2", nodes, got, want,
         columns=("x1", "x2", "d_11", "d_12", "d_22"),
-        rows=np.array(rows),
     )
 
 

@@ -3,6 +3,7 @@ config precedence, and byte-identical reruns."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -206,6 +207,16 @@ class TestExpmap:
         assert text.startswith('<?xml version="1.0"')
         assert "<rect" in text
 
+    @pytest.mark.parametrize("angles", ["0", "-3"])
+    def test_sweep_without_angles_exits_2(self, capsys, angles):
+        code, out, err = run_cli(
+            capsys,
+            "expmap", "--model", "H2", "--base", "1,0",
+            "--window", "0,2,-1,1", "--cells", "4", f"--angles={angles}",
+        )
+        assert code == 2
+        assert "angles" in err
+
     def test_base_outside_chart_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -247,6 +258,51 @@ class TestSpray:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "s,t,d_ss,d_st,d_tt"
         assert len(lines) == 1 + 25
+
+    # SHA-256 of (stdout, --out CSV) of `spray --verify <target> --grid 41`,
+    # recorded before the pullback and the defect rows had one code path each
+    GRID_41_DIGESTS = {
+        "TS2": (
+            "75311644c86e48c7e16fc564dda7339c9e03d57f45dd2a7def0865d372a511f3",
+            "94c1cd23ffe0b3ad19cc36659a313e410b95516c0722c832e68e9a1a21f5903e",
+        ),
+        "TL2": (
+            "a7edbfda898aecf2eafa027defbaad30a66845f39968261d0e55d317b77e0520",
+            "0372f52c2559608e199eb9f2ecf56ab8749c523d18ebf9448ded1516029c3de5",
+        ),
+        "composition": (
+            "ee381315873bcf07bb55831453c098f7cf27ffb6bc4270e6ea975af9b1f13dbd",
+            "1690e64c4ac6566d47ad787c6cc6f290ef6096e945448cd52b9dab69943d46f2",
+        ),
+        "spine-vertical": (
+            "87e257a2c073cd88089718faeb495cfca692f75cf134e8ce1c84add5c79d3b9f",
+            "0bf792265a7aff8090e4c833ebe20b108d00a78d60dca192461b09db3a0edad8",
+        ),
+        "spine-horizontal": (
+            "7afd49e3c92cbd7c83286864f6c38758d3cebc66e77dd2b86d38962015eaa01d",
+            "8d49d6c4f00a9a34eb2fd3ef940a95ab11cbc44d4e9a8b5a8564a88795a3c109",
+        ),
+    }
+
+    @pytest.mark.parametrize("target", sorted(GRID_41_DIGESTS))
+    def test_grid_41_stdout_and_csv_bytes_are_pinned(self, capsys, tmp_path, target):
+        out_file = tmp_path / "defects.csv"
+        code, out, _ = run_cli(
+            capsys, "spray", "--verify", target, "--grid", "41", "--out", str(out_file)
+        )
+        assert code == 0
+        got = (
+            hashlib.sha256(out.encode("ascii")).hexdigest(),
+            hashlib.sha256(out_file.read_bytes()).hexdigest(),
+        )
+        assert got == self.GRID_41_DIGESTS[target]
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_grid_below_one_exits_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, "spray", "--verify", "TS2", f"--grid={grid}")
+        assert code == 2
+        assert out == ""
+        assert "--grid" in err
 
 
 class TestCurvature:
@@ -326,6 +382,16 @@ class TestConfigFile:
         )
         assert code == 2
         assert "config" in err
+
+    def test_non_object_section_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"spray": 5}))
+        code, out, err = run_cli(
+            capsys, "--config", str(cfg), "spray", "--verify", "TS2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "'spray'" in err
 
 
 class TestDeterminism:

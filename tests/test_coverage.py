@@ -187,6 +187,25 @@ class TestSweepMap:
         )
         assert len(launched) == 512
 
+    @pytest.mark.parametrize("angles", [0, -1])
+    def test_sweep_rejects_angles_below_one(self, monkeypatch, angles):
+        def fake(*args, **kwargs):
+            raise AssertionError("no geodesic may be launched")
+
+        monkeypatch.setattr(coverage, "integrate_geodesics", fake)
+        with pytest.raises(ValueError, match="angles"):
+            exp_coverage(
+                get_model("S3").field, (0.0, 0.0), (-1.0, 1.0, -1.0, 1.0), 4,
+                angles=angles,
+            )
+
+    def test_l2_closed_form_ignores_angles(self):
+        field = get_model("L2").field
+        window = (0.5, 2.0, -1.0, 1.0)
+        got = exp_coverage(field, (1.0, 0.0), window, 6, angles=0)
+        want = exp_coverage(field, (1.0, 0.0), window, 6)
+        assert np.array_equal(got.grid, want.grid)
+
     def test_sweep_rejects_base_outside_chart(self):
         field = get_model("S4", c=1).field
         with pytest.raises(DomainError):

@@ -176,6 +176,14 @@ def _effective(args, file_cfg: dict) -> dict:
     return cfg
 
 
+def _int_option(cfg: dict, key: str) -> int:
+    """An integer option; a float, a bool or any other value is malformed."""
+    val = cfg[key]
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ValueError(f"option {key!r} must be an integer, got {val!r}")
+    return val
+
+
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -230,7 +238,7 @@ def cmd_geodesic(args, cfg: dict) -> int:
         p0,
         v0,
         tspan,
-        samples=int(cfg["samples"]),
+        samples=_int_option(cfg, "samples"),
         rtol=float(cfg["rtol"]),
         atol=float(cfg["atol"]),
     )
@@ -270,8 +278,8 @@ def cmd_expmap(args, cfg: dict) -> int:
         model.field,
         base,
         window,
-        int(cfg["cells"]),
-        angles=int(cfg["angles"]),
+        _int_option(cfg, "cells"),
+        angles=_int_option(cfg, "angles"),
         tol=float(cfg["tol"]),
         t_max=float(cfg["tmax"]),
     )
@@ -302,7 +310,7 @@ def _spine_report(kind: str, n: int) -> tuple[IsometryReport, float, str]:
 
 
 def cmd_spray(args, cfg: dict) -> int:
-    n = int(cfg["grid"])
+    n = _int_option(cfg, "grid")
     if n < 1:
         raise ValueError(f"--grid must be at least 1, got {n}")
     target = args.verify

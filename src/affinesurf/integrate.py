@@ -291,7 +291,8 @@ def solve_ode(
                 hit_eval = True
         hs = direction * h_clip
 
-        if h_clip < _MIN_STEP and not hit_eval:
+        # a span shorter than the smallest step ends in one step, not a collapse
+        if h_clip < _MIN_STEP and not hit_eval and h_clip < remaining:
             # steps have collapsed: diagnose and extrapolate the stop time
             status, norm = _diagnose(y)
             message = f"step collapsed to {h_clip:.3e} at t={t:.12g} (|y|={norm:.3e})"
@@ -488,7 +489,7 @@ def solve_ode_batch(
             hit = to_eval <= h_clip * (1 + 1e-12)
             h_clip = np.where(hit, to_eval, h_clip)
             h_signed = direction * h_clip
-            short = (h_clip < _MIN_STEP) & ~hit
+            short = (h_clip < _MIN_STEP) & ~hit & (h_clip < np.abs(remaining))
             halt = reached | short | (s.t + h_signed == s.t)
             if halt.any():
                 short &= ~reached

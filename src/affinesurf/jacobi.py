@@ -7,25 +7,38 @@ coefficients a with J = a1 e1 + a2 e2 and the equation becomes
 
     a''_b = [E^{-1} W]_b,   W = -sum_b a_b R(e_b, sigma') sigma'
 
-with E the chart matrix of the frame.  Conjugate points of sigma(0) are
-found from two Jacobi fields with J(0) = 0 and independent initial
-derivatives: the parameter values where their coefficient determinant
-vanishes again.  Each sign change on the scan grid is refined by Brent's
-method (Brent 1973, *Algorithms for Minimization without Derivatives*,
-ch. 4), ported here as ``brentq``.
+with E the chart matrix of the frame.
+
+Conjugate points of sigma(0) come in closed form where the curvature is
+parallel.  Then the Jacobi operator K a = R(a, sigma') sigma' has a
+constant matrix in the parallel frame, and in two dimensions K^2 = kappa K
+with kappa = rho(sigma', sigma') (K sigma' = 0, trace K = kappa).  The
+fields with J(0) = 0 are J(t) = S(t) J'(0) with det S(t) = t sin(sqrt(kappa)
+t) / sqrt(kappa), so the conjugate points are t = n pi / sqrt(kappa) when
+kappa > 0 and there are none when kappa <= 0.  ``conjugate_points`` uses
+this on kind-A/B charts that pass the exact nabla rho = 0 test.
+
+Elsewhere (analytic charts, whose symmetry test is only grid-sampled, and
+kind-A/B charts that are not locally symmetric) they are found from two
+Jacobi fields with J(0) = 0 and independent initial derivatives: the
+parameter values where their coefficient determinant vanishes again.  Each
+sign change on the scan grid is refined by Brent's method (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 4), ported here as
+``brentq``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import curvature_at
+from .curvature import curvature_at, is_locally_symmetric
 from .errors import FrameDegenerateError, InvalidIVPError
-from .fields import ChristoffelField, christoffel_at
+from .fields import KIND_ANALYTIC, ChristoffelField, christoffel_at
 from .geodesics import _check_ivp, _status_of, geodesic_rhs
 from .integrate import solve_ode
 
@@ -236,6 +249,19 @@ def integrate_jacobi(
     )
 
 
+def _parallel_curvature_roots(field, p, v, t_max, rtol, atol) -> list[float]:
+    """Conjugate points n pi / sqrt(kappa), kappa = rho(v, v), up to the
+    reachable cap of the geodesic; none when kappa <= 0."""
+    kappa = float(np.einsum("ijki,j,k->", curvature_at(field, p), v, v))
+    if kappa <= 0.0:
+        return []
+    period = math.pi / math.sqrt(kappa)
+    if period > t_max:
+        return []
+    cap, _, _ = _reachable_cap(field, p, v, t_max, rtol, atol)
+    return list(itertools.takewhile(lambda t: t <= cap, (n * period for n in itertools.count(1))))
+
+
 def conjugate_points(
     field: ChristoffelField,
     point,
@@ -249,19 +275,28 @@ def conjugate_points(
 ) -> list[float]:
     """Parameter values in (0, t_max] conjugate to t = 0 along the geodesic.
 
-    Integrates two Jacobi fields with J(0) = 0 and derivative coefficients
-    (1, 0) and (0, 1); their coefficient determinant vanishes exactly at
-    conjugate points.  Sign changes on a ``scan_samples`` grid are refined
-    by bisection re-integrating from the nearest accepted knot, so each
-    root is located to integrator accuracy rather than grid accuracy.
+    On a kind-A/B chart with nabla rho = 0 (an exact test) the roots are
+    n pi / sqrt(kappa) with kappa = rho(velocity, velocity) at the launch
+    point, and there are none when kappa <= 0; the geodesic is integrated
+    only when the first of them lies within t_max, to find how far it
+    reaches.  ``scan_samples`` and ``det_tol`` are then unused.
 
-    If the geodesic itself stops before t_max (escape or chart exit) the
-    sweep covers the reachable span only, ending a small relative margin
-    before the stop.
+    Otherwise integrates two Jacobi fields with J(0) = 0 and derivative
+    coefficients (1, 0) and (0, 1); their coefficient determinant vanishes
+    exactly at conjugate points.  Sign changes on a ``scan_samples`` grid
+    are refined by Brent's method re-integrating from the nearest accepted
+    knot, so each root is located to integrator accuracy rather than grid
+    accuracy.
+
+    On either path, if the geodesic itself stops before t_max (escape or
+    chart exit), only roots up to a small relative margin before the stop
+    are returned.
     """
     p, v = _check_ivp(field, point, velocity)
     if v == (0.0, 0.0):
         raise InvalidIVPError("conjugate points need a nonzero velocity")
+    if field.kind != KIND_ANALYTIC and is_locally_symmetric(field):
+        return _parallel_curvature_roots(field, p, v, t_max, rtol, atol)
     # both fields start at a = 0, with a' the e1 and then the e2 coefficient
     y0 = _pack_state(p, v, np.eye(2), (0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 1.0))
     rhs = _jacobi_rhs(field, 2)
@@ -308,7 +343,9 @@ def conjugate_points(
             and 0.0 < ts[i]
             and abs(a) < abs(dets[i - 1])
             and abs(a) < abs(b)
+            and a * dets[i - 1] > 0.0
         ):
-            # tangential zero (double root): keep the local minimum sample
+            # tangential zero (double root): keep the local minimum sample;
+            # a sign change from the previous sample was refined already
             roots.append(float(ts[i]))
     return roots

@@ -579,6 +579,8 @@ class IsometryReport:
     def of(cls, label: str, nodes, got, want, columns=("s", "t", "d_ss", "d_st", "d_tt")):
         """Rows (a, b, got - want): each node (a, b) with the defects of the
         pulled-back components ``got`` against the wanted ``want``."""
+        if len(nodes) == 0:
+            raise ValueError(f"{label}: an isometry report needs at least one grid node")
         defects = np.asarray(got, dtype=float) - np.asarray(want, dtype=float)
         return cls(label, columns, np.column_stack([np.asarray(nodes, dtype=float), defects]))
 
@@ -609,7 +611,16 @@ def verify_isometry(map_fn, target, grid, *, label: str = "chart") -> IsometryRe
     matrix; ``grid`` is (s_values, t_values) with t_values an array or a
     callable s -> array.  Rows are (s, t, d_ss, d_st, d_tt).
     """
-    metric = None if target == "minkowski" else l2_metric if target == "L2" else target
+    if target == "minkowski":
+        metric = None
+    elif target == "L2":
+        metric = l2_metric
+    elif callable(target):
+        metric = target
+    else:
+        raise ValueError(
+            f'target must be "minkowski", "L2" or a callable point -> metric, got {target!r}'
+        )
     s_vals, t_spec = grid
     nodes = []
     for s in np.asarray(s_vals, dtype=float):

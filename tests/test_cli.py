@@ -393,6 +393,22 @@ class TestConfigFile:
         assert out == ""
         assert "'spray'" in err
 
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "3", None])
+    @pytest.mark.parametrize("command, key", [
+        (("spray", "--verify", "TS2"), "grid"),
+        (("expmap", "--model", "L2", "--base", "1,0", "--window", "0,4,-4,4"), "cells"),
+        (("expmap", "--model", "L2", "--base", "1,0", "--window", "0,4,-4,4"), "angles"),
+        (("geodesic", "--model", "H2", "--p0", "1,0", "--v0", "0,1", "--tspan", "0,1",
+          "--format", "text"), "samples"),
+    ])
+    def test_non_integer_option_exits_2(self, capsys, tmp_path, command, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({command[0]: {key: value}}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), *command)
+        assert code == 2
+        assert out == ""
+        assert f"'{key}'" in err
+
 
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, capsys, tmp_path):

@@ -97,6 +97,21 @@ def test_s3_vertical_launch_blows_up_at_half_pi():
     assert abs(traj.t_escape_backward + math.pi / 2.0) < 1e-6
 
 
+@pytest.mark.parametrize("k", [0.5, 2.0])
+@pytest.mark.parametrize("name, v", [("S1", (1.0, 0.0)), ("S3", (0.0, 1.0))])
+def test_escape_time_scales_inversely_with_the_speed(name, v, k):
+    # v -> k v reparametrizes the geodesic by t -> k t
+    field = get_model(name).field
+    base = integrate_geodesic(field, (0.0, 0.0), v, (-5.0, 5.0))
+    fast = integrate_geodesic(field, (0.0, 0.0), (k * v[0], k * v[1]), (-5.0 / k, 5.0 / k))
+    assert fast.status_forward == base.status_forward == "blowup"
+    want = base.t_escape_forward / k
+    assert abs(fast.t_escape_forward - want) <= 1e-9 * want
+    if base.status_backward == "blowup":
+        want = base.t_escape_backward / k
+        assert abs(fast.t_escape_backward - want) <= 1e-9 * abs(want)
+
+
 def test_h2_is_complete_through_the_horizon_crawl():
     model = get_model("H2")
     traj = integrate_geodesic(model.field, (1.0, 0.0), (-1.0, 0.5), (0.0, 50.0))

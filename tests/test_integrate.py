@@ -62,6 +62,20 @@ def test_zero_span_is_a_no_op():
     assert res.ts.tolist() == [2.0]
 
 
+@pytest.mark.parametrize("span", [5e-13, -5e-13])
+def test_span_shorter_than_the_smallest_step_is_reached(span):
+    # Brent refinement in conjugate_points re-integrates such spans from a knot
+    def f(t, y):
+        return [y[1], -y[0]]
+
+    res = solve_ode(f, 1.0, [1.0, 0.5], 1.0 + span)
+    assert res.status == "reached" and res.t_final == 1.0 + span
+    batch = solve_ode_batch(lambda t, y: np.stack([y[:, 1], -y[:, 0]], axis=1),
+                            1.0, np.array([[1.0, 0.5]]), 1.0 + span, [])
+    assert batch.status == ["reached"]
+    assert batch.y_final[0].tolist() == res.ys[-1].tolist()
+
+
 def test_blowup_escape_time():
     # y' = y**2 from y(0) = 1 escapes at exactly t = 1
     res = solve_ode(lambda t, y: y * y, 0.0, [1.0], 5.0)

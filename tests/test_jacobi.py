@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affinesurf import jacobi
-from affinesurf.catalog import get_model
+from affinesurf.catalog import get_model, parse_model_spec
+from affinesurf.classify import pushforward
+from affinesurf.curvature import curvature_at
 from affinesurf.errors import DomainError, FrameDegenerateError, InvalidIVPError
-from affinesurf.fields import ChristoffelField
+from affinesurf.fields import KIND_A, ChristoffelField
 from affinesurf.jacobi import _jacobi_rhs, brentq, conjugate_points, integrate_jacobi
 from affinesurf.lorentz import l2_inner
 
@@ -83,6 +88,21 @@ def test_pseudosphere_conjugate_points_at_pi_and_two_pi():
     assert len(found) == 2
     assert abs(found[0] - math.pi) < 1e-10
     assert abs(found[1] - 2.0 * math.pi) < 1e-10
+
+
+def test_conjugate_point_on_a_scan_sample_is_reported_once():
+    # 400 samples over [0, 1.5 pi]: sample 266 sits on the root pi
+    found = conjugate_points(PSEUDO.field, (0.0, 0.0), (0.0, 1.0), 1.5 * math.pi)
+    assert len(found) == 1
+    assert abs(found[0] - math.pi) < 1e-10
+
+
+def test_root_within_the_smallest_step_of_a_knot_is_refined():
+    # kappa = 3/4; Brent asks for the determinant 5e-13 past an accepted knot
+    period = math.pi / math.sqrt(0.75)
+    found = conjugate_points(PSEUDO.field, (0.0, 0.0), (0.5, -1.0), 1.5 * period)
+    assert len(found) == 1
+    assert abs(found[0] - period) < 1e-10
 
 
 def test_no_conjugate_points_on_timelike_or_flat_runs():
@@ -191,3 +211,199 @@ def test_brentq_reports_an_exhausted_iteration_budget():
     with pytest.raises(RuntimeError, match="after 3 iterations"):
         brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, maxiter=3)
     assert abs(brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0) - 2.0 ** (1.0 / 3.0)) < 1e-12
+
+
+# ----------------------------------------------------------------------------
+# parallel curvature: the closed-form propagator as an oracle
+#
+# With nabla R = 0 the Jacobi operator K a = R(a, v) v has a constant matrix
+# in the parallel frame, and K @ K = kappa K with kappa = rho(v, v).  So
+# a'' = -K a is solved by a(t) = C(t) a0 + S(t) a0' with
+#     C = I - c2(t) K,   c2 = (1 - cos(sqrt(kappa) t)) / kappa,
+#     S = t I - s3(t) K, s3 = (t - sin(sqrt(kappa) t) / sqrt(kappa)) / kappa,
+# cosh/sinh for kappa < 0 and the polynomials t**2 / 2, t**3 / 6 at kappa = 0;
+# conjugate points of sigma(0) sit at n pi / sqrt(kappa).
+
+
+def _jacobi_operator(field, p, v):
+    """kappa = rho(v, v) and the matrix K whose column b is R(d_b, v) v."""
+    rv = np.einsum("ijkl,j,k->il", curvature_at(field, p), v, v)
+    return float(np.trace(rv)), rv.T
+
+
+def _propagator(k, kappa, t):
+    x = kappa * t * t
+    if abs(x) < 1e-2:
+        # Taylor series of c2 and s3 in x; eight terms leave < 1e-30 relative
+        c2 = t * t * sum((-x) ** n / math.factorial(2 * n + 2) for n in range(8))
+        s3 = t ** 3 * sum((-x) ** n / math.factorial(2 * n + 3) for n in range(8))
+    elif kappa > 0.0:
+        r = math.sqrt(kappa)
+        c2 = (1.0 - math.cos(r * t)) / kappa
+        s3 = (t - math.sin(r * t) / r) / kappa
+    else:
+        r = math.sqrt(-kappa)
+        c2 = (math.cosh(r * t) - 1.0) / -kappa
+        s3 = (math.sinh(r * t) / r - t) / -kappa
+    return np.eye(2) - c2 * k, t * np.eye(2) - s3 * k
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+unit_floats = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def symmetric_launches(draw):
+    """A launch on a random linear image of a locally symmetric kind-A/B model.
+
+    Kind A (S1, S2, S3) is moved by a GL(2) frame, kind B (H2, L2, S5, S4:c)
+    by (x1, x2) -> (x1, delta x1 + gamma x2); the point and velocity are
+    drawn on the canonical chart and moved along.  L2 launches are null in
+    about half of the draws, so kappa takes both signs and 0.
+    """
+    name = draw(st.sampled_from(["S1", "S2", "S3", "H2", "L2", "S5", "S4:c=2", "S4:c=-1/3"]))
+    model = parse_model_spec(name)
+    if model.field.kind == KIND_A:
+        frame = draw(st.tuples(st.tuples(small_rationals, small_rationals),
+                               st.tuples(small_rationals, small_rationals)))
+        p0 = (draw(unit_floats), draw(unit_floats))
+    else:
+        gamma = draw(small_rationals.filter(lambda g: abs(g) >= Fraction(1, 2)))
+        frame = ((Fraction(1), Fraction(0)), (draw(small_rationals), gamma))
+        p0 = (draw(st.floats(min_value=0.5, max_value=2.0)), draw(unit_floats))
+    det = frame[0][0] * frame[1][1] - frame[0][1] * frame[1][0]
+    assume(abs(det) >= Fraction(1, 2))
+    speed = draw(st.floats(min_value=0.3, max_value=1.2))
+    if name == "L2" and draw(st.booleans()):
+        v0 = (p0[0] * speed, draw(st.sampled_from([-1.0, 1.0])) * p0[0] * speed)
+    else:
+        theta = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+        v0 = (speed * math.cos(theta), speed * math.sin(theta))
+    field = ChristoffelField(model.field.kind, coeffs=pushforward(model.field.coeffs, frame))
+    m = np.array(frame, dtype=float)
+    return field, tuple((m @ p0).tolist()), tuple((m @ v0).tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_launches(), st.tuples(unit_floats, unit_floats),
+       st.tuples(unit_floats, unit_floats), st.floats(min_value=0.5, max_value=1.5))
+def test_jacobi_coefficients_follow_the_parallel_curvature_propagator(launch, a0, adot0, t_max):
+    field, p, v = launch
+    kappa, k = _jacobi_operator(field, p, v)
+    sol = integrate_jacobi(field, p, v, a0, adot0, t_max)
+    want = np.array([c @ a0 + s @ adot0 for c, s in (_propagator(k, kappa, t) for t in sol.t)])
+    assert np.max(np.abs(sol.a - want)) <= 1e-7 * max(1.0, float(np.max(np.abs(want))))
+
+
+@st.composite
+def analytic_symmetric_launches(draw):
+    """A launch with kappa > 0 on the pseudosphere (rho = g = diag(-1,
+    cosh(u)**2)) or on S3~ (rho = diag(0, 1)), with a span holding one or
+    two conjugate points half a period clear of its end."""
+    name = draw(st.sampled_from(["pseudosphere", "S3~"]))
+    p = (draw(st.floats(min_value=-0.5, max_value=0.5)), draw(unit_floats))
+    v2 = draw(st.floats(min_value=0.6, max_value=1.4)) * draw(st.sampled_from([-1.0, 1.0]))
+    lean = draw(st.floats(min_value=-0.7, max_value=0.7))
+    scale = math.cosh(p[0]) if name == "pseudosphere" else 1.0
+    return get_model(name).field, p, (lean * scale * abs(v2), v2), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(analytic_symmetric_launches())
+def test_numeric_conjugate_points_sit_at_multiples_of_pi_over_root_kappa(launch):
+    field, p, v, n = launch
+    kappa, _ = _jacobi_operator(field, p, v)
+    period = math.pi / math.sqrt(kappa)
+    found = conjugate_points(field, p, v, (n + 0.5) * period)
+    want = [m * period for m in range(1, n + 1)]
+    assert len(found) == n
+    assert max(abs(f - w) for f, w in zip(found, want)) < 1e-9
+
+
+def _count_sweeps(monkeypatch):
+    built = []
+
+    def counting(field, n_pairs):
+        built.append(n_pairs)
+        return _jacobi_rhs(field, n_pairs)
+
+    monkeypatch.setattr(jacobi, "_jacobi_rhs", counting)
+    return built
+
+
+def test_non_symmetric_kind_b_chart_takes_the_numeric_sweep(monkeypatch):
+    field = ChristoffelField.type_b((0, 0, 1, 0, 0, 1))
+    built = _count_sweeps(monkeypatch)
+    conjugate_points(field, (1.0, 0.0), (0.3, 1.0), 1.0)
+    assert built == [2]
+
+
+@pytest.mark.parametrize("v", [(0.0, 1.0), (math.sqrt(2.0), 1.0), (1.0, 1.0)])
+def test_symmetric_kind_b_chart_makes_no_jacobi_sweep(monkeypatch, v):
+    built = _count_sweeps(monkeypatch)
+    assert conjugate_points(L2.field, (1.0, 0.0), v, math.pi - 1e-3) == []
+    assert built == []
+
+
+def test_closed_form_path_probes_the_geodesic_only_when_a_root_is_due(monkeypatch):
+    probes = []
+    reachable_cap = jacobi._reachable_cap
+
+    def counting(field, p, v, t_max, rtol, atol):
+        probes.append(t_max)
+        return reachable_cap(field, p, v, t_max, rtol, atol)
+
+    monkeypatch.setattr(jacobi, "_reachable_cap", counting)
+    # spacelike, kappa = 1: the first root pi lies past t_max, so no probe
+    assert conjugate_points(L2.field, (1.0, 0.0), (0.0, 1.0), 3.0) == []
+    assert probes == []
+    # t_max past pi: the probe runs, and the domain ends at pi / 2 first
+    assert conjugate_points(L2.field, (1.0, 0.0), (0.0, 1.0), 4.0) == []
+    assert probes == [4.0]
+
+
+def test_closed_form_path_lists_every_root_up_to_the_cap(monkeypatch):
+    # no catalog geodesic lives long enough to reach pi / sqrt(kappa), so
+    # the cap is stubbed: kappa = 1 on this spacelike L2 launch
+    monkeypatch.setattr(jacobi, "_reachable_cap", lambda *args: (3.0 * math.pi, "complete", None))
+    found = conjugate_points(L2.field, (1.0, 0.0), (0.0, 1.0), 10.0)
+    assert found == [math.pi, 2.0 * math.pi, 3.0 * math.pi]
+
+
+def test_closed_form_path_needs_no_transported_frame():
+    # a sheared L2 image with kappa < 0, where the numeric sweep's frame
+    # degenerates as the geodesic runs into collapse
+    field = ChristoffelField.type_b(("-5/4", "-3/8", "-1/2", "-3/4", "-1", "1/2"))
+    p = (0.3570046197007457, -0.6081162431890494)
+    v = (-1.2627918985556128, 1.2720254619107518)
+    assert conjugate_points(field, p, v, 5.323070479985292) == []
+
+
+def test_closed_form_path_keeps_the_input_checks():
+    with pytest.raises(InvalidIVPError, match="nonzero velocity"):
+        conjugate_points(L2.field, (1.0, 0.0), (0.0, 0.0), 1.0)
+    with pytest.raises(InvalidIVPError):
+        conjugate_points(L2.field, (-1.0, 0.0), (0.0, 1.0), 1.0)
+
+
+# ----------------------------------------------------------------------------
+# metamorphic: v -> k v reparametrizes the geodesic by t -> k t
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+@pytest.mark.parametrize(
+    "field, p, v, t_max",
+    [
+        # numeric sweep: conjugate points at pi and 2 pi
+        (PSEUDO.field, (0.0, 0.1), (0.0, 1.0), 7.0),
+        # closed form past pi: the geodesic leaves the chart before any root
+        (L2.field, (1.0, 0.3), (0.2, 1.0), 4.0),
+        (get_model("S3").field, (0.0, 0.0), (-0.5, 1.0), 4.0),
+    ],
+)
+def test_conjugate_points_scale_inversely_with_the_speed(field, p, v, t_max, k):
+    base = conjugate_points(field, p, v, t_max)
+    got = conjugate_points(field, p, (k * v[0], k * v[1]), t_max / k)
+    assert len(got) == len(base)
+    for g, b in zip(got, base):
+        assert abs(g - b / k) <= 1e-9 * (b / k)

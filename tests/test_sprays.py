@@ -163,6 +163,15 @@ class TestNormalForm:
         assert report.rows.shape == (41 * 41, 5)
         assert report.max_defect < 1e-8
 
+    @pytest.mark.parametrize("target", ["l2", "Minkowski", None])
+    def test_unknown_target_names_the_accepted_ones(self, target):
+        with pytest.raises(ValueError, match='"minkowski", "L2" or a callable'):
+            verify_isometry(map_T_S2, target, ts2_grid(3))
+
+    def test_empty_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one grid node"):
+            verify_isometry(map_T_S2, "minkowski", ts2_grid(0))
+
     def test_report_csv(self, tmp_path):
         report = verify_isometry(map_T_S2, "minkowski", ts2_grid(5))
         path = tmp_path / "defects.csv"

@@ -44,15 +44,12 @@ RESIDUAL_TOL = 1e-9
 class ShearScale:
     """Coordinate change (x1, x2) -> (x1, delta*x1 + gamma*x2).
 
-    ``a`` records the scale of the chart-preserving (a*x + b) action, which
-    leaves every kind-B coefficient table invariant; it is kept for
-    completeness and defaults to 1.  ``gamma`` is exact when the required
-    scale is a rational square root, else a float.
+    ``gamma`` is exact when the required scale is a rational square root,
+    else a float.
     """
 
     delta: Fraction | float
     gamma: Fraction | float
-    a: Fraction = Fraction(1)
 
     def matrix(self) -> tuple:
         return ((Fraction(1), Fraction(0)), (self.delta, self.gamma))
@@ -249,8 +246,6 @@ def _root(r: Fraction):
 def classify_type_a(
     values,
     *,
-    n_starts: int | None = None,
-    seed: int | None = None,
     residual_tol: float = RESIDUAL_TOL,
 ) -> NormalForm:
     """Classify a kind-A chart up to invertible linear changes of frame.
@@ -260,8 +255,7 @@ def classify_type_a(
     witness maps the frame (f1, f2) onto (e1, e2): f1 = u / lambda with
     lambda = -q(u, u) (f1 = u for S2), f2 a null vector of q (S1, S2) or a
     q-orthogonal one (S3).  Its residual is the exact defect of pushing the
-    input forward with it, 0 when the witness is rational.  ``n_starts``
-    and ``seed`` are accepted for compatibility and ignored.
+    input forward with it, 0 when the witness is rational.
 
     Raises ClassificationInconclusiveError when Gamma does not factor or
     the residual is not below ``residual_tol``.

@@ -5,7 +5,8 @@ constant tensors, and a kind-B chart produces tensors of the form
 (x1)**(-p) times a constant rational table with p = 2 for the curvature and
 Ricci tensors and p = 3 for the covariant derivative of Ricci.  Zero tests
 (flatness, local symmetry) on these kinds are therefore exact rational
-decisions, not float comparisons.
+decisions, not float comparisons.  Each field builds these tables once and
+keeps them (see ``ChristoffelField._exact_tables``).
 
 Index conventions, fixed once:
 
@@ -15,24 +16,27 @@ Index conventions, fixed once:
 * nabla ricci    N[k, i, j] = (nabla_{d_k} rho)(d_i, d_j); the FIRST index
                  is the differentiation direction.
 
-Analytic charts are evaluated pointwise from their gamma/dgamma callables;
-the Ricci derivative additionally uses central finite differences of the
-pointwise Ricci values, since analytic charts only carry first derivatives.
+R and N are each written once (``_riemann``, ``_nabla_ricci``), over nested
+lists of either Fractions or floats.  Kinds A and B pass exact tables and
+the exact derivative of their (x1)**(-p) scaling; analytic charts pass
+Gamma and its derivative at a point from their gamma/dgamma callables, and
+for N central finite differences of the pointwise Ricci values, since
+analytic charts only carry first derivatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .fields import (
     KIND_A,
-    KIND_ANALYTIC,
     KIND_B,
     _UNPACK,
     ChristoffelField,
+    _read_only,
     christoffel_at,
     coeffs_to_tensor,
 )
@@ -54,6 +58,12 @@ __all__ = [
 # Chosen so truncation (h**4) and cancellation (eps/h) are both well under
 # the 1e-9 symmetry tolerance on moderate windows.
 _FD_STEP = 2e-3
+
+# Analytic charts are tested for flatness and local symmetry on a
+# _SAMPLES x _SAMPLES grid over _WINDOW, to absolute tolerance _TOL.
+_TOL = 1e-9
+_WINDOW = ((-2.0, 2.0), (-2.0, 2.0))
+_SAMPLES = 7
 
 
 @dataclass(frozen=True)
@@ -78,15 +88,48 @@ class ScaledTable:
     def as_array(self) -> np.ndarray:
         return np.array(self.table, dtype=float)
 
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        return _read_only(self.as_array())
+
     def at(self, p) -> np.ndarray:
-        scale = float(p[0]) ** (-self.power) if self.power else 1.0
-        return self.as_array() * scale
+        """The tensor at p as floats; for power 0 the shared read-only table."""
+        if self.power:
+            return self._floats * float(p[0]) ** (-self.power)
+        return self._floats
 
 
 def _freeze(node):
     if isinstance(node, list):
         return tuple(_freeze(c) for c in node)
     return node
+
+
+def _riemann(g, dg):
+    """R[i][j][k][l] from Gamma g[i][j][k] and its derivative dg[d][i][j][k]."""
+    r = [[[[None] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    val = dg[i][j][k][l] - dg[j][i][k][l]
+                    for s in range(2):
+                        val += g[i][s][l] * g[j][k][s] - g[j][s][l] * g[i][k][s]
+                    r[i][j][k][l] = val
+    return r
+
+
+def _nabla_ricci(g, rho, drho):
+    """N[k][i][j] from Gamma g, Ricci rho[i][j] and its derivative drho[k][i][j]."""
+    n = [[[None] * 2 for _ in range(2)] for _ in range(2)]
+    for k in range(2):
+        for i in range(2):
+            for j in range(2):
+                val = drho[k][i][j]
+                for s in range(2):
+                    val -= g[k][i][s] * rho[s][j] + g[k][j][s] * rho[i][s]
+                n[k][i][j] = val
+    return n
 
 
 def _exact_gamma(field: ChristoffelField):
@@ -98,60 +141,44 @@ def _exact_gamma(field: ChristoffelField):
     raise TypeError("exact tables exist only for kind A and kind B charts")
 
 
+def _derivative(t, power: int):
+    """[d/dx1, d/dx2] of (x1)**(-power) * t, as tables scaled by (x1)**(-power - 1)."""
+
+    def times(node, c):
+        if isinstance(node, list):
+            return [times(x, c) for x in node]
+        return c * node if c else 0  # int zeros keep the sums cheap
+
+    return [times(t, -power), times(t, 0)]
+
+
 def curvature_table(field: ChristoffelField) -> ScaledTable:
     """Exact curvature table R[i][j][k][l], scaled by (x1)**(-2q)."""
     g, q = _exact_gamma(field)
-    r = [[[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    val = Fraction(0)
-                    if q:
-                        # d/dx^i of (x1)**(-1) tables contributes -(x1)**(-2)
-                        # only when differentiating along x1.
-                        if i == 0:
-                            val -= g[j][k][l]
-                        if j == 0:
-                            val += g[i][k][l]
-                    for s in range(2):
-                        val += g[i][s][l] * g[j][k][s] - g[j][s][l] * g[i][k][s]
-                    r[i][j][k][l] = val
-    return ScaledTable(table=_freeze(r), power=2 * q)
+    return ScaledTable(table=_freeze(_riemann(g, _derivative(g, q))), power=2 * q)
+
+
+def _exact_tables(field: ChristoffelField) -> tuple[ScaledTable, ScaledTable, ScaledTable]:
+    """Exact (R, rho, N) of a kind-A/B field; the field keeps them."""
+    r = curvature_table(field)
+    g, q = _exact_gamma(field)
+    rho = [[sum(r.table[i][j][k][i] for i in range(2)) for k in range(2)] for j in range(2)]
+    n = _nabla_ricci(g, rho, _derivative(rho, 2 * q))
+    return r, ScaledTable(_freeze(rho), 2 * q), ScaledTable(_freeze(n), 3 * q)
 
 
 def ricci_table(field: ChristoffelField) -> ScaledTable:
     """Exact Ricci table rho[j][k] = sum_i R[i][j][k][i], built once per field."""
-    return field._exact_ricci
-
-
-def _build_ricci_table(field: ChristoffelField) -> ScaledTable:
-    rt = curvature_table(field)
-    r = rt.table
-    rho = [[sum(r[i][j][k][i] for i in range(2)) for k in range(2)] for j in range(2)]
-    return ScaledTable(table=_freeze(rho), power=rt.power)
+    return field._exact_tables[1]
 
 
 def nabla_ricci_table(field: ChristoffelField) -> ScaledTable:
-    """Exact table N[k][i][j] of the covariant Ricci derivative.
+    """Exact table N[k][i][j] of the covariant Ricci derivative, built once per field.
 
     First index is the differentiation direction.  For kind B the scale
     power is 3; for kind A everything is constant.
     """
-    g, q = _exact_gamma(field)
-    rho = ricci_table(field).table
-    n = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                val = Fraction(0)
-                if q and k == 0:
-                    # d/dx1 of (x1)**(-2) * rho
-                    val -= 2 * rho[i][j]
-                for s in range(2):
-                    val -= g[k][i][s] * rho[s][j] + g[k][j][s] * rho[i][s]
-                n[k][i][j] = val
-    return ScaledTable(table=_freeze(n), power=3 * q)
+    return field._exact_tables[2]
 
 
 def _analytic_tensors(field: ChristoffelField, p):
@@ -172,19 +199,9 @@ def curvature_at(field: ChristoffelField, p) -> np.ndarray:
     """
     if field.kind in (KIND_A, KIND_B):
         field.require_point(p)
-        table, power = field._curvature_table
-        return table * float(p[0]) ** (-power) if power else table
+        return field._exact_tables[0].at(p)
     gam, dg = _analytic_tensors(field, p)
-    r = np.empty((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    val = dg[i, j, k, l] - dg[j, i, k, l]
-                    for s in range(2):
-                        val += gam[i, s, l] * gam[j, k, s] - gam[j, s, l] * gam[i, k, s]
-                    r[i, j, k, l] = val
-    return r
+    return np.array(_riemann(gam.tolist(), dg.tolist()))
 
 
 def ricci_at(field: ChristoffelField, p) -> np.ndarray:
@@ -203,83 +220,47 @@ def nabla_ricci_at(field: ChristoffelField, p) -> np.ndarray:
 
     First index is the differentiation direction.  Analytic charts use a
     fourth-order five-point stencil for the coordinate derivative of rho;
-    kinds A and B scale the field's float copy of the exact table, and kind
-    A returns that shared read-only table.
+    kinds A and B scale the field's exact table, and kind A returns its
+    shared read-only float copy.
     """
     if field.kind in (KIND_A, KIND_B):
         field.require_point(p)
-        table, power = field._nabla_ricci_table
-        return table * float(p[0]) ** (-power) if power else table
+        return field._exact_tables[2].at(p)
     x1, x2 = float(p[0]), float(p[1])
-    gam = christoffel_at(field, p)
-    rho = ricci_at(field, p)
     h = _FD_STEP
-
-    def d4(f, a, b, axis):
-        e = (h, 0.0) if axis == 0 else (0.0, h)
-        fm2 = f((a - 2 * e[0], b - 2 * e[1]))
-        fm1 = f((a - e[0], b - e[1]))
-        fp1 = f((a + e[0], b + e[1]))
-        fp2 = f((a + 2 * e[0], b + 2 * e[1]))
-        return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-
-    rho_of = lambda q: ricci_at(field, q)
-    drho = np.empty((2, 2, 2))
-    drho[0] = d4(rho_of, x1, x2, 0)
-    drho[1] = d4(rho_of, x1, x2, 1)
-    n = np.empty((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                val = drho[k, i, j]
-                for s in range(2):
-                    val -= gam[k, i, s] * rho[s, j] + gam[k, j, s] * rho[i, s]
-                n[k, i, j] = val
-    return n
+    drho = []
+    for e1, e2 in ((h, 0.0), (0.0, h)):
+        fm2, fm1, fp1, fp2 = (ricci_at(field, (x1 + c * e1, x2 + c * e2)) for c in (-2, -1, 1, 2))
+        drho.append(((-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)).tolist())
+    gam, rho = christoffel_at(field, p), ricci_at(field, p)
+    return np.array(_nabla_ricci(gam.tolist(), rho.tolist(), drho))
 
 
-def _analytic_grid(window, n: int):
-    (a0, a1), (b0, b1) = window
-    for u in np.linspace(a0, a1, n):
-        for v in np.linspace(b0, b1, n):
+def _analytic_grid():
+    (a0, a1), (b0, b1) = _WINDOW
+    for u in np.linspace(a0, a1, _SAMPLES):
+        for v in np.linspace(b0, b1, _SAMPLES):
             yield (float(u), float(v))
 
 
-def is_flat(
-    field: ChristoffelField,
-    *,
-    tol: float = 1e-9,
-    window=((-2.0, 2.0), (-2.0, 2.0)),
-    samples: int = 7,
-) -> bool:
+def is_flat(field: ChristoffelField) -> bool:
     """Whether the Ricci tensor vanishes identically.
 
-    Exact for kinds A and B.  Analytic charts are sampled on a grid over
-    ``window`` and tested against ``tol``; vanishing Ricci is equivalent to
-    vanishing curvature in two dimensions.
+    Exact for kinds A and B.  Analytic charts are sampled on a grid and
+    tested against a tolerance; vanishing Ricci is equivalent to vanishing
+    curvature in two dimensions.
     """
     if field.kind in (KIND_A, KIND_B):
         return ricci_table(field).is_zero()
-    return all(
-        np.max(np.abs(ricci_at(field, p))) <= tol for p in _analytic_grid(window, samples)
-    )
+    return all(np.max(np.abs(ricci_at(field, p))) <= _TOL for p in _analytic_grid())
 
 
-def is_locally_symmetric(
-    field: ChristoffelField,
-    *,
-    tol: float = 1e-9,
-    window=((-2.0, 2.0), (-2.0, 2.0)),
-    samples: int = 7,
-) -> bool:
+def is_locally_symmetric(field: ChristoffelField) -> bool:
     """Whether the covariant derivative of Ricci vanishes identically.
 
-    Exact for kinds A and B; grid-sampled with tolerance ``tol`` for
-    analytic charts.
+    Exact for kinds A and B; grid-sampled against a tolerance for analytic
+    charts.
     """
     if field.kind in (KIND_A, KIND_B):
         return nabla_ricci_table(field).is_zero()
-    return all(
-        np.max(np.abs(nabla_ricci_at(field, p))) <= tol
-        for p in _analytic_grid(window, samples)
-    )
+    return all(np.max(np.abs(nabla_ricci_at(field, p))) <= _TOL for p in _analytic_grid())

@@ -9,11 +9,11 @@ patch.  Three kinds are supported:
   together with their first coordinate derivatives.
 
 Coefficients for kinds A and B are exact rationals so that downstream
-curvature tables and zero tests are exact.  Their float tables (Gamma, the
-curvature and the covariant Ricci derivative at x1 = 1) are built once per
-field, on its first float evaluation, and kept on the field.  The packing
-order of the six independent entries is fixed once here and used
-everywhere:
+curvature tables and zero tests are exact.  Such a field builds two things
+once, on first use, and keeps them: its float Gamma at x1 = 1, and its exact
+curvature, Ricci and covariant Ricci derivative tables, each with its own
+float copy.  The packing order of the six independent entries is fixed once
+here and used everywhere:
 
     (c11_1, c11_2, c12_1, c12_2, c22_1, c22_2)
 
@@ -179,27 +179,11 @@ class ChristoffelField:
         return _read_only(np.array([float(c) for c in self.coeffs])[_UNPACK])
 
     @cached_property
-    def _curvature_table(self) -> tuple[np.ndarray, int]:
-        """Read-only float curvature at x1 = 1 and its power of 1/x1."""
-        from .curvature import curvature_table  # curvature.py imports this module
+    def _exact_tables(self):
+        """Exact (R, rho, N) ``ScaledTable``s, built by ``curvature._exact_tables``."""
+        from .curvature import _exact_tables  # curvature.py imports this module
 
-        table = curvature_table(self)
-        return _read_only(table.as_array()), table.power
-
-    @cached_property
-    def _exact_ricci(self):
-        """Exact Ricci ``ScaledTable``, shared by the symmetry and flatness tests."""
-        from .curvature import _build_ricci_table
-
-        return _build_ricci_table(self)
-
-    @cached_property
-    def _nabla_ricci_table(self) -> tuple[np.ndarray, int]:
-        """Read-only float covariant Ricci derivative at x1 = 1 and its power of 1/x1."""
-        from .curvature import nabla_ricci_table
-
-        table = nabla_ricci_table(self)
-        return _read_only(table.as_array()), table.power
+        return _exact_tables(self)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

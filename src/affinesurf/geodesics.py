@@ -125,10 +125,12 @@ class GeodesicTrajectory:
 def _normalize_span(t_span) -> tuple[float, float]:
     if np.isscalar(t_span):
         hi = float(t_span)
-        if hi <= 0:
-            raise InvalidIVPError("scalar time bound must be positive")
+        if not 0.0 < hi < math.inf:
+            raise InvalidIVPError("scalar time bound must be positive and finite")
         return (0.0, hi)
     lo, hi = (float(v) for v in t_span)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidIVPError("time window bounds must be finite")
     if lo > 0.0 or hi < 0.0 or lo == hi:
         raise InvalidIVPError("time window must contain 0 with t_min <= 0 <= t_max")
     return (lo, hi)

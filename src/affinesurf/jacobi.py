@@ -222,6 +222,8 @@ def integrate_jacobi(
 ) -> JacobiSolution:
     """Integrate one Jacobi field with frame coefficients (a0, adot0)."""
     p, v = _check_ivp(field, point, velocity)
+    if not math.isfinite(t_max):
+        raise InvalidIVPError("t_max must be finite")
     e = _validate_frame(frame)
     y0 = _pack_state(p, v, e, a0, adot0)
     cap, cap_status, cap_escape = _reachable_cap(field, p, v, t_max, rtol, atol)
@@ -293,6 +295,8 @@ def conjugate_points(
     are returned.
     """
     p, v = _check_ivp(field, point, velocity)
+    if not math.isfinite(t_max):
+        raise InvalidIVPError("t_max must be finite")
     if v == (0.0, 0.0):
         raise InvalidIVPError("conjugate points need a nonzero velocity")
     if field.kind != KIND_ANALYTIC and is_locally_symmetric(field):

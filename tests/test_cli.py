@@ -468,3 +468,19 @@ class TestDeterminism:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("geodesic", "--model", "flat", "--p0", "0,0", "--v0", "1,0", "--tspan=0,inf"),
+        ("expmap", "--model", "H2", "--base", "1,0", "--window", "0.5,2,-1,1",
+         "--cells", "4", "--tmax", "nan"),
+        ("expmap", "--model", "L2", "--base", "nan,0", "--window", "0.5,2,-1,1",
+         "--cells", "4"),
+    ],
+)
+def test_non_finite_bounds_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "finite" in err and out == ""

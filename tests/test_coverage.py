@@ -27,7 +27,7 @@ from affinesurf.coverage import (
     exp_coverage,
     l2_reach_verdict,
 )
-from affinesurf.errors import DomainError
+from affinesurf.errors import DomainError, InvalidIVPError
 
 
 def wedge_reachable(base, target) -> bool:
@@ -210,6 +210,15 @@ class TestSweepMap:
         field = get_model("S4", c=1).field
         with pytest.raises(DomainError):
             exp_coverage(field, (-1.0, 0.0), (0.0, 2.0, -2.0, 2.0), 8)
+
+
+def test_non_finite_inputs_are_rejected():
+    window = (0.5, 2.0, -1.0, 1.0)
+    with pytest.raises(InvalidIVPError, match="finite"):
+        exp_coverage(get_model("H2").field, (1.0, 0.0), window, 4, angles=8, t_max=math.nan)
+    for base in [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf), (1.0, math.nan)]:
+        with pytest.raises(DomainError, match="finite"):
+            exp_coverage(get_model("L2").field, base, window, 4)
 
 
 class TestCoverageMapContainer:

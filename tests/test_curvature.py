@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinesurf.catalog import get_model
 from affinesurf.curvature import (
     ScaledTable,
     curvature_at,
@@ -212,6 +213,59 @@ def test_exact_ricci_table_is_built_once_outside_equality_and_hash():
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert ricci_table(fresh) == rho
+
+
+def test_exact_tables_are_built_once_per_field(monkeypatch):
+    from affinesurf import curvature
+    from affinesurf.jacobi import conjugate_points
+
+    built = []
+    original = curvature.curvature_table
+    monkeypatch.setattr(
+        curvature, "curvature_table", lambda field: built.append(field) or original(field)
+    )
+    l2 = get_model("L2").field
+    for _ in range(3):
+        assert is_locally_symmetric(l2) and not is_flat(l2)
+        assert conjugate_points(l2, (1.0, 0.0), (0.0, 1.0), 3.0) == []
+        curvature_at(l2, (1.5, 0.2))
+        nabla_ricci_at(l2, (1.5, 0.2))
+    assert built == [l2]
+
+
+def _two_dim_identity(rho):
+    """R[i][j][k][l] = rho[j][k] delta_il - rho[i][k] delta_jl."""
+    return tuple(
+        tuple(
+            tuple(
+                tuple(rho[j][k] * (i == l) - rho[i][k] * (j == l) for l in range(2))
+                for k in range(2)
+            )
+            for j in range(2)
+        )
+        for i in range(2)
+    )
+
+
+@given(st.tuples(*[rationals] * 6), st.booleans())
+def test_two_dim_curvature_is_determined_by_ricci_exactly(coeffs, kind_b):
+    field = (ChristoffelField.type_b if kind_b else ChristoffelField.type_a)(coeffs)
+    r, rho = curvature_table(field), ricci_table(field)
+    assert r.power == rho.power
+    assert r.table == _two_dim_identity(rho.table)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(["pseudosphere", "S3~"]),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+)
+def test_two_dim_curvature_is_determined_by_ricci_on_analytic_charts(name, x1, x2):
+    field = get_model(name).field
+    r = curvature_at(field, (x1, x2))
+    want = np.array(_two_dim_identity(ricci_at(field, (x1, x2)).tolist()))
+    assert np.max(np.abs(r - want)) <= 1e-12 * (1.0 + np.max(np.abs(r)))
 
 
 def test_kind_a_curvature_is_shared_and_read_only():

@@ -165,6 +165,14 @@ def test_invalid_ivps_are_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "t_span", [math.inf, math.nan, (math.nan, 1.0), (-1.0, math.inf), (-math.inf, 1.0)]
+)
+def test_non_finite_time_bounds_are_rejected(t_span):
+    with pytest.raises(InvalidIVPError, match="finite"):
+        integrate_geodesic(FLAT, (0.0, 0.0), (1.0, 0.0), t_span)
+
+
 def test_exp_map_flat_and_zero_vector():
     q = exp_map(FLAT, (1.0, 2.0), (0.5, -0.25))
     assert np.allclose([q.x1, q.x2], [1.5, 1.75], atol=1e-12)

@@ -386,6 +386,19 @@ def test_closed_form_path_keeps_the_input_checks():
         conjugate_points(L2.field, (-1.0, 0.0), (0.0, 1.0), 1.0)
 
 
+@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan])
+def test_non_finite_t_max_is_rejected(t_max):
+    ps = get_model("pseudosphere").field
+    with pytest.raises(InvalidIVPError, match="finite"):
+        conjugate_points(ps, (1.0, 0.0), (0.0, 1.0), t_max)
+    with pytest.raises(InvalidIVPError, match="finite"):
+        conjugate_points(L2.field, (1.0, 0.0), (0.0, 1.0), t_max)
+    with pytest.raises(InvalidIVPError, match="finite"):
+        integrate_jacobi(
+            get_model("H2").field, (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0), t_max
+        )
+
+
 # ----------------------------------------------------------------------------
 # metamorphic: v -> k v reparametrizes the geodesic by t -> k t
 

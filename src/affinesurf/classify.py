@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .curvature import nabla_ricci_table, ricci_table
 from .errors import ClassificationInconclusiveError
-from .fields import ChristoffelField, as_coeffs
+from .fields import ChristoffelField, _numerators, as_coeffs
 
 # Wrapped by benchmarks/tracing.py; kind A is classified without a search.
 least_squares = None
@@ -100,18 +100,25 @@ def scale_transform(coeffs, gamma) -> tuple:
 def pushforward(coeffs, matrix) -> tuple:
     """Coefficients of the image chart under the linear map w = A x.
 
-    Works elementwise over Fractions or floats.  For kind-B charts this is
-    only chart-compatible when the first row of A is (1, 0), since the
-    coefficient table is tied to the x1 factor.
+    Int/Fraction inputs are summed as integer numerators over the common
+    denominators of A and of the coefficients, with the integer adjugate for
+    the inverse, and divided once per entry; float or mixed inputs use
+    adj / det.  For kind-B charts this is only chart-compatible when the
+    first row of A is (1, 0), since the table is tied to the x1 factor.
     """
-    (a, b), (c, d) = matrix[0], matrix[1]
+    exact = all(isinstance(v, (int, Fraction)) for v in (*coeffs, *matrix[0], *matrix[1]))
+    if exact:
+        coeffs, big_d = _numerators(coeffs)
+        (a, b, c, d), m = _numerators((*matrix[0], *matrix[1]))
+    else:
+        (a, b), (c, d) = matrix[0], matrix[1]
     det = a * d - b * c
     if det == 0:
         raise ValueError("matrix is singular")
-    inv = ((d / det, -b / det), (-c / det, a / det))
+    inv = ((d, -b), (-c, a)) if exact else ((d / det, -b / det), (-c / det, a / det))
     gam = [[[coeffs[0], coeffs[1]], [coeffs[2], coeffs[3]]],
            [[coeffs[2], coeffs[3]], [coeffs[4], coeffs[5]]]]
-    rows = (matrix[0], matrix[1])
+    rows = ((a, b), (c, d))
 
     def entry(i, j, k):
         total = 0
@@ -130,8 +137,9 @@ def pushforward(coeffs, matrix) -> tuple:
                     total += fc * fa * fb * gam[ai][bj][ck]
         return total
 
-    return (entry(0, 0, 0), entry(0, 0, 1), entry(0, 1, 0),
-            entry(0, 1, 1), entry(1, 1, 0), entry(1, 1, 1))
+    out = (entry(0, 0, 0), entry(0, 0, 1), entry(0, 1, 0),
+           entry(0, 1, 1), entry(1, 1, 0), entry(1, 1, 1))
+    return tuple(Fraction(t * m, det * det * big_d) for t in out) if exact else out
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
@@ -185,16 +193,11 @@ def classify_type_b(values) -> NormalForm:
 
     if c22_1 != 0:
         verdict = "H2" if c22_1 > 0 else "L2"
-        gamma = _exact_sqrt(abs(c22_1))
-        if gamma is not None:
-            scaled = scale_transform(coeffs, gamma)
-            # after scaling, c22_1 is +1 or -1; shear kills c22_2
-            delta = -scaled[5] / scaled[4]
-            return _finish_type_b(coeffs, verdict, delta, gamma, _CANON[verdict])
-        gamma_f = math.sqrt(abs(float(c22_1)))
-        scaled = scale_transform(tuple(float(v) for v in coeffs), gamma_f)
-        delta_f = -scaled[5] / scaled[4]
-        return _finish_type_b(coeffs, verdict, delta_f, gamma_f, _CANON[verdict])
+        gamma = _root(abs(c22_1))  # a float when c22_1 is no rational square
+        scaled = scale_transform(coeffs, gamma)
+        # after scaling, c22_1 is +1 or -1; shear kills c22_2
+        delta = -scaled[5] / scaled[4]
+        return _finish_type_b(coeffs, verdict, delta, gamma, _CANON[verdict])
 
     if c22_2 != 0:
         # A symmetric non-flat chart cannot sit in this branch: the exact

@@ -9,16 +9,17 @@ coefficients).
 Exit codes: 0 any computed verdict, 2 malformed input or configuration,
 3 inconclusive classification, 4 integration failure.  Outputs depend
 only on the supplied configuration and seed, so repeated runs are
-byte-identical (golden-file testable).  Negative coefficient tables need
-a ``--`` separator before the positional values; option values that
-start with a minus sign need the ``--option=value`` form, for example
-``--tspan=-2,2``.
+byte-identical (golden-file testable).  Coefficients such as ``-1/2`` are
+positional values, with or without a ``--`` separator before them; option
+values that start with a minus sign need the ``--option=value`` form, for
+example ``--tspan=-2,2``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -83,6 +84,9 @@ DEFAULTS = {
     "curvature": {"point": "1,0"},
 }
 
+# Tokens such as -1/2 are coefficients too; argparse alone takes only -1 and -0.5
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
 _SPRAY_TARGETS = ("TS2", "TL2", "composition", "spine-vertical", "spine-horizontal")
 
 
@@ -121,6 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=None, help="ignored: type A is exact")
     p.add_argument("--seed", type=int, default=None, help="ignored: type A is exact")
     p.add_argument("coefficients", nargs=6, metavar="c", help=" ".join(COEFF_NAMES))
+    p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("geodesic", help="trace one geodesic")
     p.add_argument("--model", required=True)
@@ -157,6 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", dest="kind", choices=("A", "B"), default=None)
     p.add_argument("--point", default=None, help="evaluation point x1,x2")
     p.add_argument("coefficients", nargs="*", metavar="c", default=[])
+    p._negative_number_matcher = _NEGATIVE_NUMBER
 
     return parser
 
@@ -354,12 +360,7 @@ def cmd_curvature(args, cfg: dict) -> int:
     else:
         if len(args.coefficients) != 6:
             raise ValueError("--type needs six coefficient values")
-        coeffs = _parse_fractions(args.coefficients)
-        field = (
-            ChristoffelField.type_a(coeffs)
-            if args.kind == "A"
-            else ChristoffelField.type_b(coeffs)
-        )
+        field = ChristoffelField(kind=args.kind, coeffs=_parse_fractions(args.coefficients))
     point = _parse_floats(cfg["point"], 2, "--point")
     print(f"kind: {field.kind}")
     print(f"point: {point[0]:.12g},{point[1]:.12g}")

@@ -17,16 +17,17 @@ Index conventions, fixed once:
                  is the differentiation direction.
 
 R and N are each written once (``_riemann``, ``_nabla_ricci``), over nested
-lists of either Fractions or floats.  Kinds A and B pass exact tables and
-the exact derivative of their (x1)**(-p) scaling; analytic charts pass
-Gamma and its derivative at a point from their gamma/dgamma callables, and
-for N central finite differences of the pointwise Ricci values, since
-analytic charts only carry first derivatives.
+lists of ints or floats.  Kinds A and B pass d * Gamma as ints, d the lcm of
+its denominators, with d times the derivative of their (x1)**(-p) scaling:
+R and rho come out as integer numerators over d**2 and N over d**3, and each
+entry is divided once.  Analytic charts pass Gamma and its derivative at a
+point, and for N central differences of Ricci (they carry first derivatives).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +37,7 @@ from .fields import (
     KIND_B,
     _UNPACK,
     ChristoffelField,
+    _numerators,
     _read_only,
     christoffel_at,
     coeffs_to_tensor,
@@ -99,10 +101,10 @@ class ScaledTable:
         return self._floats
 
 
-def _freeze(node):
+def _over(node, den: int):
     if isinstance(node, list):
-        return tuple(_freeze(c) for c in node)
-    return node
+        return tuple(_over(c, den) for c in node)
+    return Fraction(node, den)
 
 
 def _riemann(g, dg):
@@ -133,38 +135,36 @@ def _nabla_ricci(g, rho, drho):
 
 
 def _exact_gamma(field: ChristoffelField):
-    """Symmetric [i][j][k] Fraction table G with Gamma = (x1)**(-q) * G."""
-    if field.kind == KIND_A:
-        return coeffs_to_tensor(field.coeffs), 0
-    if field.kind == KIND_B:
-        return coeffs_to_tensor(field.coeffs), 1
-    raise TypeError("exact tables exist only for kind A and kind B charts")
+    """(G', d, q): Gamma = (x1)**(-q) * G' / d with G' an integer [i][j][k] table."""
+    if field.kind not in (KIND_A, KIND_B):
+        raise TypeError("exact tables exist only for kind A and kind B charts")
+    nums, d = _numerators(field.coeffs)
+    return coeffs_to_tensor(nums), d, int(field.kind == KIND_B)
 
 
-def _derivative(t, power: int):
-    """[d/dx1, d/dx2] of (x1)**(-power) * t, as tables scaled by (x1)**(-power - 1)."""
-
+def _derivative(t, power: int, d: int):
+    """d * [d/dx1, d/dx2] of (x1)**(-power) * t, as tables scaled by (x1)**(-power - 1)."""
     def times(node, c):
-        if isinstance(node, list):
-            return [times(x, c) for x in node]
-        return c * node if c else 0  # int zeros keep the sums cheap
+        return [times(x, c) for x in node] if isinstance(node, list) else c * node
 
-    return [times(t, -power), times(t, 0)]
+    return [times(t, -power * d), times(t, 0)]
 
 
 def curvature_table(field: ChristoffelField) -> ScaledTable:
     """Exact curvature table R[i][j][k][l], scaled by (x1)**(-2q)."""
-    g, q = _exact_gamma(field)
-    return ScaledTable(table=_freeze(_riemann(g, _derivative(g, q))), power=2 * q)
+    g, d, q = _exact_gamma(field)
+    return ScaledTable(table=_over(_riemann(g, _derivative(g, q, d)), d * d), power=2 * q)
 
 
 def _exact_tables(field: ChristoffelField) -> tuple[ScaledTable, ScaledTable, ScaledTable]:
     """Exact (R, rho, N) of a kind-A/B field; the field keeps them."""
     r = curvature_table(field)
-    g, q = _exact_gamma(field)
-    rho = [[sum(r.table[i][j][k][i] for i in range(2)) for k in range(2)] for j in range(2)]
-    n = _nabla_ricci(g, rho, _derivative(rho, 2 * q))
-    return r, ScaledTable(_freeze(rho), 2 * q), ScaledTable(_freeze(n), 3 * q)
+    g, d, q = _exact_gamma(field)
+    t, d2 = r.table, d * d  # d2 * rho as ints: each R entry is over a divisor of d2
+    rho = [[sum(x.numerator * d2 // x.denominator for x in (t[0][j][k][0], t[1][j][k][1]))
+            for k in range(2)] for j in range(2)]
+    n = _nabla_ricci(g, rho, _derivative(rho, 2 * q, d))
+    return r, ScaledTable(_over(rho, d2), 2 * q), ScaledTable(_over(n, d2 * d), 3 * q)
 
 
 def ricci_table(field: ChristoffelField) -> ScaledTable:

@@ -23,6 +23,7 @@ lower pair is symmetric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -102,6 +103,12 @@ def as_coeffs(values) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _numerators(values) -> tuple[list[int], int]:
+    """Ints d * v over the lcm d of the denominators of int/Fraction values, and d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def coeffs_to_tensor(coeffs):
     """Expand six packed coefficients to a full symmetric [i][j][k] table."""
     g = [[[None, None] for _ in range(2)] for _ in range(2)]
@@ -120,10 +127,10 @@ def tensor_to_coeffs(tensor) -> tuple:
 class ChristoffelField:
     """Immutable connection chart.
 
-    Exactly one of the two payloads is populated: ``coeffs`` for kinds A/B,
-    or the ``gamma``/``dgamma`` callables for analytic fields.  ``gamma``
-    maps (x1, x2) to the six packed coefficients; ``dgamma`` maps (x1, x2)
-    to a 6 x 2 array of their d/dx1 and d/dx2 derivatives.
+    Exactly one of the two payloads is populated: ``coeffs`` (Fractions) for
+    kinds A/B, or the ``gamma``/``dgamma`` callables for analytic fields.
+    ``gamma`` maps (x1, x2) to the six packed coefficients; ``dgamma`` maps
+    (x1, x2) to a 6 x 2 array of their d/dx1 and d/dx2 derivatives.
     """
 
     kind: str
@@ -134,8 +141,9 @@ class ChristoffelField:
 
     def __post_init__(self):
         if self.kind in (KIND_A, KIND_B):
-            if self.coeffs is None or len(self.coeffs) != 6:
+            if self.coeffs is None:
                 raise ValueError(f"kind {self.kind!r} requires six exact coefficients")
+            object.__setattr__(self, "coeffs", as_coeffs(self.coeffs))
             if self.gamma is not None or self.dgamma is not None:
                 raise ValueError("constant-table kinds must not carry callables")
         elif self.kind == KIND_ANALYTIC:
@@ -148,11 +156,11 @@ class ChristoffelField:
 
     @staticmethod
     def type_a(values, name: str = "") -> "ChristoffelField":
-        return ChristoffelField(kind=KIND_A, coeffs=as_coeffs(values), name=name)
+        return ChristoffelField(kind=KIND_A, coeffs=values, name=name)
 
     @staticmethod
     def type_b(values, name: str = "") -> "ChristoffelField":
-        return ChristoffelField(kind=KIND_B, coeffs=as_coeffs(values), name=name)
+        return ChristoffelField(kind=KIND_B, coeffs=values, name=name)
 
     @staticmethod
     def analytic(gamma, dgamma, name: str = "") -> "ChristoffelField":

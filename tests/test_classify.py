@@ -262,3 +262,84 @@ def test_kind_a_rejections():
 def test_normal_form_dataclass_defaults():
     nf = NormalForm(verdict="Flat")
     assert nf.c is None and nf.witness is None and nf.residual == 0
+
+
+# pushforward written out as a plain Fraction loop, independent of the
+# package's integer-numerator path
+def _fraction_push(coeffs, m):
+    (a, b), (c, d) = [[F(v) for v in row] for row in m]
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("singular")
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    rows = ((a, b), (c, d))
+    c0, c1, c2, c3, c4, c5 = (F(v) for v in coeffs)
+    g = (((c0, c1), (c2, c3)), ((c2, c3), (c4, c5)))
+
+    def entry(i, j, k):
+        return sum(
+            rows[k][r] * inv[p][i] * inv[q][j] * g[p][q][r]
+            for p in range(2) for q in range(2) for r in range(2)
+        )
+
+    return (entry(0, 0, 0), entry(0, 0, 1), entry(0, 1, 0),
+            entry(0, 1, 1), entry(1, 1, 0), entry(1, 1, 1))
+
+
+exact_values = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-8, max_value=8, max_denominator=10**6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[exact_values] * 6),
+    st.tuples(st.tuples(exact_values, exact_values), st.tuples(exact_values, exact_values)),
+)
+def test_exact_pushforward_matches_fraction_loop(coeffs, matrix):
+    try:
+        want = _fraction_push(coeffs, matrix)
+    except ValueError:
+        with pytest.raises(ValueError):
+            pushforward(coeffs, matrix)
+        return
+    got = pushforward(coeffs, matrix)
+    assert got == want
+    assert all(type(v) is F for v in got)
+
+
+def test_exact_pushforward_edge_cases():
+    # pure-int inputs give exact Fractions, not float quotients
+    got = pushforward((1, 2, 3, 4, 5, 6), ((2, 1), (1, 1)))
+    assert got == _fraction_push((1, 2, 3, 4, 5, 6), ((2, 1), (1, 1)))
+    assert all(type(v) is F for v in got)
+    # a zero coefficient table stays zero; a zero matrix row is singular
+    assert pushforward((0,) * 6, ((F(1, 3), 0), (0, F(-7)))) == (F(0),) * 6
+    with pytest.raises(ValueError):
+        pushforward((1, 2, 3, 4, 5, 6), ((F(1, 2), F(3)), (0, 0)))
+    with pytest.raises(ValueError):
+        pushforward((1, 2, 3, 4, 5, 6), ((F(1, 2), F(3)), (F(-1, 6), F(-1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[rationals] * 6), gl2_frames)
+def test_mixed_pushforward_stays_float(coeffs, frame):
+    (a, b), (c, d) = frame
+    mixed = ((a, b), (float(c), float(d)))
+    got = pushforward(coeffs, mixed)
+    want = _fraction_push(coeffs, frame)
+    assert all(isinstance(v, float) or v == 0 for v in got)
+    scale = 1.0 + max(abs(float(v)) for v in want)
+    assert max(abs(float(g) - float(w)) for g, w in zip(got, want)) <= 1e-9 * scale
+
+
+def test_irrational_scale_witness_stdout_is_pinned(capsys):
+    # the mixed float path of pushforward decides these bits
+    from affinesurf import cli
+
+    assert cli.main(["classify", "--type", "B", "--", "-1", "0", "0", "-1", "2", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "H2, witness: x2 -> -0.0*x1 + 1.4142135623730951*x2\nresidual: 2.220e-16\n"
+    )

@@ -68,6 +68,20 @@ class TestClassify:
         assert code == 2
         assert "cannot parse" in err
 
+    def test_negative_rationals_need_no_separator(self, capsys):
+        coeffs = ["-1", "0", "-1/2", "0", "0", "0"]
+        bare = run_cli(capsys, "classify", "--type", "A", *coeffs)
+        assert bare == run_cli(capsys, "classify", "--type", "A", "--", *coeffs)
+        assert bare[:2] == (0, "S1\nwitness: [[1.0, 0.0], [0.0, 1.0]]\nresidual: 0.000e+00\n")
+        # options may still follow the coefficients
+        assert run_cli(capsys, "classify", "--type", "A", *coeffs, "--tol", "1e-9") == bare
+
+    def test_unknown_flag_among_coefficients_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--type", "A", "-x", "0", "-1/2", "0", "0", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_inconclusive_exits_3(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise ClassificationInconclusiveError("budget exhausted")
@@ -322,6 +336,16 @@ class TestCurvature:
         assert code == 0
         assert "ricci exact: [[0, 0], [0, -1/4]]" in out
         assert "x1^-" not in out
+
+    def test_negative_rationals_need_no_separator(self, capsys):
+        coeffs = ["-1", "0", "0", "-1", "-1/3", "0"]
+        bare = run_cli(capsys, "curvature", "--type", "B", *coeffs)
+        assert bare == run_cli(capsys, "curvature", "--type", "B", "--", *coeffs)
+        assert bare[0] == 0 and "ricci exact: [[-1, 0], [0, 1/3]] * x1^-2" in bare[1]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["curvature", "--type", "B", *coeffs[:5], "-x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_analytic_model_report(self, capsys):
         code, out, _ = run_cli(

@@ -360,3 +360,77 @@ def test_analytic_symmetry_flags():
     )
     assert is_locally_symmetric(field)
     assert not is_flat(field)
+
+
+# The exact tables are built on integer numerators over a common
+# denominator.  This reference feeds the shared tensor loops plain Fraction
+# tables instead, with the exact derivative of the (x1)**(-p) scaling.
+def _fraction_tables(coeffs, kind_b):
+    from affinesurf.curvature import _nabla_ricci, _riemann
+    from affinesurf.fields import coeffs_to_tensor
+
+    q = int(kind_b)
+    g = coeffs_to_tensor(coeffs)
+
+    def scale(node, c):
+        return [scale(x, c) for x in node] if isinstance(node, list) else c * node
+
+    def d(t, power):
+        return [scale(t, -power), scale(t, 0)]
+
+    r = _riemann(g, d(g, q))
+    rho = [[r[0][j][k][0] + r[1][j][k][1] for k in range(2)] for j in range(2)]
+    return r, rho, _nabla_ricci(g, rho, d(rho, 2 * q))
+
+
+def _nested(node):
+    return tuple(_nested(c) for c in node) if isinstance(node, (list, tuple)) else node
+
+
+def _leaves(node):
+    if isinstance(node, tuple):
+        for c in node:
+            yield from _leaves(c)
+    else:
+        yield node
+
+
+wide_rationals = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-8, max_value=8, max_denominator=10**6)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[wide_rationals] * 6), st.booleans())
+def test_exact_tables_match_fraction_reference(coeffs, kind_b):
+    field = (ChristoffelField.type_b if kind_b else ChristoffelField.type_a)(coeffs)
+    tables = (curvature_table(field), ricci_table(field), nabla_ricci_table(field))
+    q = int(kind_b)
+    for got, want, power in zip(tables, _fraction_tables(as_coeffs(coeffs), kind_b), (2, 2, 3)):
+        assert got.power == power * q
+        assert got.table == _nested(want)
+        # the CLI prints str() of these entries, so they must stay Fractions
+        assert all(type(v) is F for v in _leaves(got.table))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(*[wide_rationals] * 6),
+    st.tuples(*[rationals] * 4).filter(lambda m: m[0] * m[3] != m[1] * m[2]),
+)
+def test_kind_a_ricci_is_a_tensor_under_frame_changes(coeffs, entries):
+    from affinesurf.classify import pushforward
+
+    a, b, c, d = entries
+    det = a * d - b * c
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    rho = ricci_table(ChristoffelField.type_a(coeffs)).table
+    moved = ricci_table(ChristoffelField.type_a(pushforward(coeffs, ((a, b), (c, d))))).table
+    want = tuple(
+        tuple(
+            sum(inv[p][i] * inv[s][j] * rho[p][s] for p in range(2) for s in range(2))
+            for j in range(2)
+        )
+        for i in range(2)
+    )
+    assert moved == want

@@ -135,3 +135,15 @@ def test_analytic_field_evaluates_callables():
 def test_point_and_vector_tuples():
     p = Point2(1.0, 2.0)
     assert p.x1 == 1.0 and p[1] == 2.0
+
+
+def test_direct_construction_keeps_coefficients_exact():
+    # the exact tables sum integer numerators over the coefficients' common
+    # denominator, so a kind-A/B field holds Fractions however it was built
+    field = ChristoffelField(kind="B", coeffs=(-1, 0, 0, "-1", Fraction(1), 0))
+    assert field.coeffs == ChristoffelField.type_b((-1, 0, 0, -1, 1, 0)).coeffs
+    assert all(type(c) is Fraction for c in field.coeffs)
+    with pytest.raises(TypeError):
+        ChristoffelField(kind="A", coeffs=(0.5, 0, 0, 0, 1, 0))
+    with pytest.raises(ValueError):
+        ChristoffelField(kind="A", coeffs=(0, 0, 0))

@@ -80,35 +80,37 @@ def _s3t_dgamma(x1: float, x2: float) -> tuple:
 
 MODEL_NAMES = ("S1", "S2", "S3", "S3~", "S4", "S5", "H2", "L2", "pseudosphere", "flat")
 
+# Built once: every lookup of a name shares one field and the exact tables
+# that field keeps.
 _STATIC = {
-    "S1": lambda: NamedModel(
+    "S1": NamedModel(
         "S1", ChristoffelField.type_a((-1, 0, Fraction(-1, 2), 0, 0, 0), name="S1"), False
     ),
-    "S2": lambda: NamedModel(
+    "S2": NamedModel(
         "S2", ChristoffelField.type_a((0, 0, Fraction(-1, 2), 0, 0, 0), name="S2"), True
     ),
-    "S3": lambda: NamedModel(
+    "S3": NamedModel(
         "S3", ChristoffelField.type_a((-1, 0, 0, 0, -1, 0), name="S3"), False
     ),
-    "S3~": lambda: NamedModel(
+    "S3~": NamedModel(
         "S3~", ChristoffelField.analytic(_s3t_gamma, _s3t_dgamma, name="S3~"), True
     ),
-    "S5": lambda: NamedModel(
+    "S5": NamedModel(
         "S5", ChristoffelField.type_b((-1, 1, 0, Fraction(-1, 2), 0, 0), name="S5"), True
     ),
-    "H2": lambda: NamedModel(
+    "H2": NamedModel(
         "H2",
         ChristoffelField.type_b((-1, 0, 0, -1, 1, 0), name="H2"),
         True,
         metric=_h2_metric,
     ),
-    "L2": lambda: NamedModel(
+    "L2": NamedModel(
         "L2",
         ChristoffelField.type_b((-1, 0, 0, -1, -1, 0), name="L2"),
         False,
         metric=l2_metric,
     ),
-    "pseudosphere": lambda: NamedModel(
+    "pseudosphere": NamedModel(
         "pseudosphere",
         ChristoffelField.analytic(
             _pseudosphere_gamma, _pseudosphere_dgamma, name="pseudosphere"
@@ -116,7 +118,7 @@ _STATIC = {
         True,
         metric=_pseudosphere_metric,
     ),
-    "flat": lambda: NamedModel(
+    "flat": NamedModel(
         "flat", ChristoffelField.type_a((0, 0, 0, 0, 0, 0), name="flat"), True
     ),
 }
@@ -125,8 +127,9 @@ _STATIC = {
 def get_model(name: str, c: Fraction | int | str | None = None) -> NamedModel:
     """Look up a canonical model by name.
 
-    The one-parameter family ``S4`` requires its nonzero parameter ``c``;
-    every other name rejects a parameter.
+    The one-parameter family ``S4`` requires its nonzero parameter ``c``
+    and is built anew for each call; every other name rejects a parameter
+    and returns the one shared entry of that name.
     """
     if name == "S4":
         if c is None:
@@ -139,7 +142,7 @@ def get_model(name: str, c: Fraction | int | str | None = None) -> NamedModel:
     if c is not None:
         raise InvalidParameterError(f"model {name!r} takes no parameter")
     try:
-        return _STATIC[name]()
+        return _STATIC[name]
     except KeyError:
         raise UnknownModelError(name) from None
 

@@ -99,17 +99,13 @@ class CoverageMap:
             fh.write(text)
 
 
-def _window_edges(window, cells):
+def _window_edges(window, cells: int):
     x_lo, x_hi, y_lo, y_hi = (float(w) for w in window)
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("window must satisfy x_lo < x_hi and y_lo < y_hi")
-    if isinstance(cells, int):
-        nx = ny = cells
-    else:
-        nx, ny = (int(c) for c in cells)
-    if nx < 1 or ny < 1:
-        raise ValueError("cell counts must be positive")
-    return np.linspace(x_lo, x_hi, nx + 1), np.linspace(y_lo, y_hi, ny + 1)
+    if cells < 1:
+        raise ValueError(f"cell count must be positive, got {cells}")
+    return np.linspace(x_lo, x_hi, cells + 1), np.linspace(y_lo, y_hi, cells + 1)
 
 
 def _mark_samples(grid, x_edges, y_edges, pts: np.ndarray) -> None:
@@ -206,7 +202,7 @@ def exp_coverage(
     field: ChristoffelField,
     base,
     window,
-    cells,
+    cells: int,
     *,
     angles: int = 256,
     tol: float = 1e-8,
@@ -214,8 +210,8 @@ def exp_coverage(
 ) -> CoverageMap:
     """Classify window cells as unreached/reached/unknown under exp_base.
 
-    ``window`` is (x1_lo, x1_hi, x2_lo, x2_hi); ``cells`` an int or an
-    (nx, ny) pair.  The Lorentz half-plane model gets the full three-valued
+    ``window`` is (x1_lo, x1_hi, x2_lo, x2_hi), cut into ``cells`` x
+    ``cells`` cells.  The Lorentz half-plane model gets the full three-valued
     per-centre verdict via its closed forms; any other field is swept
     numerically over ``angles`` directions to |t| = t_max and yields
     reached/unknown only.

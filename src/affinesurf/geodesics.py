@@ -158,24 +158,17 @@ def integrate_geodesic(
     samples: int = 201,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    chart_floor: float = 0.0,
     max_steps: int = 500_000,
 ) -> GeodesicTrajectory:
     """Integrate a geodesic across a window [t_min, t_max] containing 0.
 
-    ``chart_floor`` > 0 stops kind-B trajectories with status
-    ``"left_chart"`` once x1 drops to the floor; the default 0 lets the
-    integrator run until the boundary actually starves the steps.
+    A kind-B trajectory whose steps collapse against the x1 = 0 chart
+    boundary is reported ``"left_chart"``.
     """
     p, v = _check_ivp(field, point, velocity)
     lo, hi = _normalize_span(t_span)
     rhs = geodesic_rhs(field)
     y0 = np.array([p[0], p[1], v[0], v[1]])
-
-    guard = None
-    if chart_floor > 0.0 and field.kind == KIND_B:
-        guard = lambda t, y: "left_chart" if y[0] <= chart_floor else None
-
     back_eval, fwd_eval = _sample_times(lo, hi, samples)
 
     def run(t_end, t_eval):
@@ -187,7 +180,6 @@ def integrate_geodesic(
             rtol=rtol,
             atol=atol,
             t_eval=t_eval,
-            guard=guard,
             max_steps=max_steps,
         )
 

@@ -21,10 +21,15 @@ this on kind-A/B charts that pass the exact nabla rho = 0 test.
 Elsewhere (analytic charts, whose symmetry test is only grid-sampled, and
 kind-A/B charts that are not locally symmetric) they are found from two
 Jacobi fields with J(0) = 0 and independent initial derivatives: the
-parameter values where their coefficient determinant vanishes again.  Each
-sign change on the scan grid is refined by Brent's method (Brent 1973,
-*Algorithms for Minimization without Derivatives*, ch. 4), ported here as
-``brentq``.
+parameter values where their coefficient determinant vanishes again.  Every
+such zero is a sign change.  In the parallel frame (sigma', E) the field
+with J'(0) = sigma' is t sigma', and the E coefficient a of the field with
+J'(0) = E solves the scalar linear equation a'' + kappa(t) a = 0 with
+a(0) = 0, a'(0) = 1, where R(E, sigma') sigma' = kappa E + mu sigma'.  So
+the determinant is a constant nonzero multiple of t a(t), and a nontrivial
+solution of a'' + kappa a = 0 has only simple zeros.  Each sign change on
+the scan grid is refined by Brent's method (Brent 1973, *Algorithms for
+Minimization without Derivatives*, ch. 4), ported here as ``brentq``.
 """
 
 from __future__ import annotations
@@ -273,7 +278,6 @@ def conjugate_points(
     scan_samples: int = 400,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    det_tol: float = 1e-10,
 ) -> list[float]:
     """Parameter values in (0, t_max] conjugate to t = 0 along the geodesic.
 
@@ -281,14 +285,16 @@ def conjugate_points(
     n pi / sqrt(kappa) with kappa = rho(velocity, velocity) at the launch
     point, and there are none when kappa <= 0; the geodesic is integrated
     only when the first of them lies within t_max, to find how far it
-    reaches.  ``scan_samples`` and ``det_tol`` are then unused.
+    reaches.  ``scan_samples`` is then unused.
 
     Otherwise integrates two Jacobi fields with J(0) = 0 and derivative
     coefficients (1, 0) and (0, 1); their coefficient determinant vanishes
-    exactly at conjugate points.  Sign changes on a ``scan_samples`` grid
-    are refined by Brent's method re-integrating from the nearest accepted
-    knot, so each root is located to integrator accuracy rather than grid
-    accuracy.
+    exactly at conjugate points, and it changes sign at each of them: it is
+    a constant multiple of t a(t), where a solves a'' + kappa(t) a = 0 and
+    so has only simple zeros (see the module docstring).  Sign changes on a
+    ``scan_samples`` grid are refined by Brent's method re-integrating from
+    the nearest accepted knot, so each root is located to integrator
+    accuracy rather than grid accuracy.
 
     On either path, if the geodesic itself stops before t_max (escape or
     chart exit), only roots up to a small relative margin before the stop
@@ -330,26 +336,12 @@ def conjugate_points(
 
     ts = res.sample_ts
     dets = np.array([det_of(y) for y in res.sample_ys])
-    # the determinant starts at 0 with derivative 0; skip the launch window
-    scale = np.max(np.abs(dets)) if dets.size else 0.0
+    # the determinant starts at 0 with derivative 0; skip the launch sample
     roots: list[float] = []
     for i in range(1, len(ts) - 1):
-        if ts[i] <= 0.0:
-            continue
         a, b = dets[i], dets[i + 1]
         if a == 0.0 and abs(ts[i]) > 1e-12:
             roots.append(float(ts[i]))
         elif a * b < 0.0:
             roots.append(brentq(det_at, ts[i], ts[i + 1], xtol=1e-12))
-        elif (
-            scale > 0.0
-            and abs(a) < det_tol * scale
-            and 0.0 < ts[i]
-            and abs(a) < abs(dets[i - 1])
-            and abs(a) < abs(b)
-            and a * dets[i - 1] > 0.0
-        ):
-            # tangential zero (double root): keep the local minimum sample;
-            # a sign change from the previous sample was refined already
-            roots.append(float(ts[i]))
     return roots

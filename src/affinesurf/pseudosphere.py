@@ -138,7 +138,7 @@ def pseudosphere_geodesic(point, velocity, *, tol: float = 1e-10) -> AmbientGeod
     )
 
 
-def apex_reach(target, *, tol: float = 1e-10):
+def apex_reach(target):
     """Reachability of a surface point from (1, 0, 0), with witness.
 
     Every geodesic through the apex has first coordinate cos(omega t), 1
@@ -146,6 +146,7 @@ def apex_reach(target, *, tol: float = 1e-10):
     Returns (verdict, geodesic, t) where verdict is REACHED/UNREACHED and
     geodesic.point(t) hits the target when reached.
     """
+    tol = 1e-10
     q = np.asarray(target, dtype=float)
     if q.shape != (3,):
         raise ValueError("target must be a 3-vector")
@@ -176,12 +177,12 @@ def apex_reach(target, *, tol: float = 1e-10):
     return REACHED, geo, math.acos(q1) / geo.omega
 
 
-def lift_path(points, *, max_step: float = math.pi / 8) -> tuple[np.ndarray, np.ndarray]:
+def lift_path(points) -> tuple[np.ndarray, np.ndarray]:
     """Continuous (u, v) lift of an ambient path on the surface.
 
     u = arcsinh(x3) is global; v is the continuously unwrapped angle of
-    (x1, x2).  Consecutive angle jumps above ``max_step`` make the
-    unwrapping ambiguous and raise LiftAmbiguityError (resample finer).
+    (x1, x2).  Consecutive angle jumps above pi / 8 make the unwrapping
+    ambiguous and raise LiftAmbiguityError (resample finer).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
@@ -190,7 +191,7 @@ def lift_path(points, *, max_step: float = math.pi / 8) -> tuple[np.ndarray, np.
     raw = np.arctan2(pts[:, 1], pts[:, 0])
     deltas = np.diff(raw)
     deltas = (deltas + math.pi) % (2.0 * math.pi) - math.pi
-    if deltas.size and float(np.max(np.abs(deltas))) > max_step:
+    if deltas.size and float(np.max(np.abs(deltas))) > math.pi / 8:
         raise LiftAmbiguityError(
             "angle step exceeds the unwrapping cap; sample the path finer"
         )

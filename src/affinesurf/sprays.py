@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import NamedModel, get_model
+from .catalog import get_model
 from .errors import (
     BadNormalizationError,
     DifferentiationFailureError,
@@ -188,42 +188,26 @@ class SprayChart:
         return traj.x[-1] if t > 0.0 else traj.x[0]
 
 
-def _as_curve(sigma) -> tuple[Callable, Callable]:
-    """Accept either an object with point/velocity or a (point, velocity)
-    pair of callables."""
-    if hasattr(sigma, "point") and hasattr(sigma, "velocity"):
-        return (
-            lambda s: np.asarray(sigma.point(s), dtype=float),
-            lambda s: np.asarray(sigma.velocity(s), dtype=float),
-        )
-    pt, vel = sigma
-    return (
-        lambda s: np.asarray(pt(s), dtype=float),
-        lambda s: np.asarray(vel(s), dtype=float),
-    )
+_FRAME_TOL = 1e-8
 
 
-def _resolve_model(model) -> NamedModel:
-    if isinstance(model, NamedModel):
-        return model
-    return get_model(model)
-
-
-def build_spray(model, sigma, xi0, s_range, t_range=None, *, tol: float = 1e-8) -> SprayChart:
+def build_spray(model: str, sigma, xi0, s_range) -> SprayChart:
     """Construct a numeric spray chart after validating its frame.
 
-    ``sigma`` is the base curve as (point_fn, velocity_fn) or an object
-    with those methods; it must be an affinely parametrized null geodesic
-    of the model over ``s_range``.  ``xi0`` seeds the parallel null frame
-    at the midpoint of ``s_range`` and must satisfy g(sigma', xi0) = 1 and
-    g(xi0, xi0) = 0 within ``tol``.
+    ``model`` is a catalog name.  ``sigma`` is the base curve as a
+    (point_fn, velocity_fn) pair; it must be an affinely parametrized null
+    geodesic of the model over ``s_range``.  ``xi0`` seeds the parallel
+    null frame at the midpoint of ``s_range`` and must satisfy
+    g(sigma', xi0) = 1 and g(xi0, xi0) = 0 within 1e-8.
     """
-    named = _resolve_model(model)
+    named = get_model(model)
     if named.metric is None:
         raise NoMetricError(f"model {named.name} carries no distinguished metric")
     metric = named.metric
     fld = named.field
-    sig_pt, sig_vel = _as_curve(sigma)
+    pt, vel = sigma
+    sig_pt = lambda s: np.asarray(pt(s), dtype=float)
+    sig_vel = lambda s: np.asarray(vel(s), dtype=float)
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not s_lo < s_hi:
         raise ValueError("s_range must be increasing")
@@ -234,7 +218,7 @@ def build_spray(model, sigma, xi0, s_range, t_range=None, *, tol: float = 1e-8) 
         g = metric(p)
         val = float(v @ g @ v)
         scale = max(1.0, float(v @ v) * float(np.max(np.abs(g))))
-        if abs(val) > tol * scale:
+        if abs(val) > _FRAME_TOL * scale:
             raise NotNullGeodesicError(
                 f"base curve tangent is not null at s={s}: g(v, v)={val:.3e}"
             )
@@ -249,7 +233,7 @@ def build_spray(model, sigma, xi0, s_range, t_range=None, *, tol: float = 1e-8) 
         )
     for tau, x in zip(traj.t, traj.x):
         want = sig_pt(s0 + tau)
-        if float(np.max(np.abs(x - want))) > max(100.0 * tol, 1e-7) * max(
+        if float(np.max(np.abs(x - want))) > 100.0 * _FRAME_TOL * max(
             1.0, float(np.max(np.abs(want)))
         ):
             raise NotNullGeodesicError(
@@ -261,12 +245,12 @@ def build_spray(model, sigma, xi0, s_range, t_range=None, *, tol: float = 1e-8) 
     p0 = sig_pt(s0)
     g0 = metric(p0)
     pairing = float(sig_vel(s0) @ g0 @ xi0)
-    if abs(pairing - 1.0) > tol:
+    if abs(pairing - 1.0) > _FRAME_TOL:
         raise BadNormalizationError(
             f"g(sigma', xi0) = {pairing:.6g} at s={s0}, expected 1"
         )
     xi_norm = float(xi0 @ g0 @ xi0)
-    if abs(xi_norm) > tol:
+    if abs(xi_norm) > _FRAME_TOL:
         raise BadNormalizationError(
             f"g(xi0, xi0) = {xi_norm:.6g} at s={s0}, expected 0"
         )
@@ -301,7 +285,6 @@ def build_spray(model, sigma, xi0, s_range, t_range=None, *, tol: float = 1e-8) 
         s_range=(s_lo, s_hi),
         field=fld,
         metric=metric,
-        t_domain_fn=(lambda s: t_range) if t_range is not None else None,
     )
 
 
@@ -313,9 +296,9 @@ def _transport_rhs(fld, sig_pt, sig_vel):
     return f
 
 
-def _transport_frame(fld, sig_pt, sig_vel, xi0, s_lo, s_hi, s0, n: int = 129):
-    knots = np.linspace(s_lo, s_hi, n)
-    values = np.empty((n, 2))
+def _transport_frame(fld, sig_pt, sig_vel, xi0, s_lo, s_hi, s0):
+    knots = np.linspace(s_lo, s_hi, 129)
+    values = np.empty((knots.size, 2))
     rhs = _transport_rhs(fld, sig_pt, sig_vel)
     fwd = knots[knots >= s0]
     bwd = knots[knots < s0][::-1]
@@ -461,6 +444,11 @@ def spine_sprays(kind: str) -> SprayChart:
 _CS_H = 1e-20
 
 
+def _gram(ds, dt, g) -> tuple[float, float, float]:
+    """(g_ss, g_st, g_tt): the metric matrix g on the partials ds and dt."""
+    return ds @ g @ ds, ds @ g @ dt, dt @ g @ dt
+
+
 def _pullback(map_fn, metric, s: float, t: float) -> tuple[float, float, float]:
     """(g_ss, g_st, g_tt) of ``metric`` pulled back through the closed map
     at (s, t), with both partials taken by complex step.  ``metric`` maps a
@@ -469,8 +457,7 @@ def _pullback(map_fn, metric, s: float, t: float) -> tuple[float, float, float]:
     dt = np.imag(map_fn(s, t + 1j * _CS_H)) / _CS_H
     if metric is None:
         return minkowski_inner(ds, ds), minkowski_inner(ds, dt), minkowski_inner(dt, dt)
-    g = metric(np.real(map_fn(s, t)))
-    return ds @ g @ ds, ds @ g @ dt, dt @ g @ dt
+    return _gram(ds, dt, metric(np.real(map_fn(s, t))))
 
 
 def _fd4_partial_s(point_fn, s: float, t: float, h: float) -> np.ndarray:
@@ -548,8 +535,7 @@ def spray_metric_grid(chart: SprayChart, s_vals, t_vals) -> np.ndarray:
                 base = np.asarray(geo.point(t), dtype=float)
                 dt = np.asarray(geo.velocity(t), dtype=float)
                 ds = _fd4_partial_s(chart.point, s, t, h)
-                g = chart.metric(base)
-                out[i, j] = (ds @ g @ ds, ds @ g @ dt, dt @ g @ dt)
+                out[i, j] = _gram(ds, dt, chart.metric(base))
         return out
 
     for i, s in enumerate(s_vals):
@@ -561,8 +547,7 @@ def spray_metric_grid(chart: SprayChart, s_vals, t_vals) -> np.ndarray:
                 cols.update(_variation_column(chart, float(s), side))
         for j, t in enumerate(t_vals):
             x, dt, ds = cols[float(t)]
-            g = chart.metric(x)
-            out[i, j] = (ds @ g @ ds, ds @ g @ dt, dt @ g @ dt)
+            out[i, j] = _gram(ds, dt, chart.metric(x))
     return out
 
 
@@ -604,29 +589,32 @@ def tl2_grid(n: int = 41):
     return s_vals, lambda s: np.linspace(-3.0, 2.0 / s - 0.05, n)
 
 
-def verify_isometry(map_fn, target, grid, *, label: str = "chart") -> IsometryReport:
+def _grid_nodes(grid) -> list[tuple[float, float]]:
+    """Nodes (s, t) of ``grid`` = (s_values, t_values), s-major, where
+    t_values is an array or a callable s -> array."""
+    s_vals, t_spec = grid
+    nodes = []
+    for s in np.asarray(s_vals, dtype=float):
+        t_vals = t_spec(s) if callable(t_spec) else t_spec
+        nodes += [(float(s), float(t)) for t in np.asarray(t_vals, dtype=float)]
+    return nodes
+
+
+def verify_isometry(map_fn, target: str, grid, *, label: str = "chart") -> IsometryReport:
     """Defects of the pullback of ``target`` against the normal form.
 
-    ``target`` is "minkowski", "L2", or a callable point -> metric
-    matrix; ``grid`` is (s_values, t_values) with t_values an array or a
-    callable s -> array.  Rows are (s, t, d_ss, d_st, d_tt).
+    ``target`` is "minkowski" or "L2"; ``grid`` is (s_values, t_values)
+    with t_values an array or a callable s -> array.  Rows are
+    (s, t, d_ss, d_st, d_tt).
     """
     if target == "minkowski":
         metric = None
     elif target == "L2":
         metric = l2_metric
-    elif callable(target):
-        metric = target
     else:
-        raise ValueError(
-            f'target must be "minkowski", "L2" or a callable point -> metric, got {target!r}'
-        )
-    s_vals, t_spec = grid
-    nodes = []
-    for s in np.asarray(s_vals, dtype=float):
-        t_vals = t_spec(s) if callable(t_spec) else t_spec
-        nodes += [(s, t) for t in np.asarray(t_vals, dtype=float)]
-    got = [_pullback(map_fn, metric, float(s), float(t)) for s, t in nodes]
+        raise ValueError(f'target must be "minkowski" or "L2", got {target!r}')
+    nodes = _grid_nodes(grid)
+    got = [_pullback(map_fn, metric, s, t) for s, t in nodes]
     want = [XSquaredMetric.components(s, t) for s, t in nodes]
     return IsometryReport.of(label, nodes, got, want)
 
@@ -639,12 +627,10 @@ def verify_composition(window=(0.5, 3.0, -0.4, 2.0), n: int = 41) -> IsometryRep
     def composed(x1, x2):
         return map_T_S2(*invert_T_L2((x1, x2)))
 
-    nodes = [
-        (x1, x2)
-        for x1 in np.linspace(window[0], window[1], n)
-        for x2 in np.linspace(window[2], window[3], n)
-    ]
-    got = [_pullback(composed, None, float(x1), float(x2)) for x1, x2 in nodes]
+    nodes = _grid_nodes(
+        (np.linspace(window[0], window[1], n), np.linspace(window[2], window[3], n))
+    )
+    got = [_pullback(composed, None, x1, x2) for x1, x2 in nodes]
     want = [l2_metric(x)[[0, 0, 1], [0, 1, 1]] for x in nodes]
     return IsometryReport.of(
         "composition T_S2 after invert_T_L2", nodes, got, want,
@@ -682,13 +668,7 @@ def _close_pairs(pts: np.ndarray, radius: float) -> list[tuple[int, int]]:
 
 def injectivity_gap(map_fn, grid) -> float:
     """Smallest distance between images of distinct grid nodes."""
-    s_vals, t_spec = grid
-    pts = []
-    for s in np.asarray(s_vals, dtype=float):
-        t_vals = t_spec(s) if callable(t_spec) else t_spec
-        for t in np.asarray(t_vals, dtype=float):
-            pts.append(np.real(map_fn(float(s), float(t))))
-    pts = np.asarray(pts)
+    pts = np.asarray([np.real(map_fn(s, t)) for s, t in _grid_nodes(grid)])
     best = math.inf  # the smallest squared distance so far
     for _, _, d2, gap in _x1_neighbours(pts):
         if gap * gap > best:
@@ -705,10 +685,10 @@ class SpineFindings:
     """Sampled defects of a spine chart over a window.
 
     ``collision`` holds ((s, t), (s', t'), gap) for the closest pair of
-    well-separated nodes with nearly equal images (the first in node order
-    among equal gaps), or None when no pair comes within ``collision_tol``.
-    ``unreached_cells`` counts window cells missed by every sampled chart
-    point.
+    nodes at least 0.25 apart in s or t whose images lie within 1e-6 (the
+    first in node order among equal gaps), or None when there is no such
+    pair.  ``unreached_cells`` counts the cells of a 40 x 40 grid over the
+    window [0, 4] x [-4, 4] missed by every sampled chart point.
     """
 
     label: str
@@ -723,10 +703,6 @@ def spine_findings(
     *,
     n_s: int = 61,
     n_t: int = 61,
-    window=(0.0, 4.0, -4.0, 4.0),
-    cells: int = 40,
-    collision_tol: float = 1e-6,
-    separation: float = 0.25,
 ) -> SpineFindings:
     from .coverage import _mark_samples, _window_edges
 
@@ -746,15 +722,16 @@ def spine_findings(
 
     collision = None
     min_gap = math.inf
-    for i, j in _close_pairs(pts, collision_tol):
-        if float(np.max(np.abs(nodes[i] - nodes[j]))) < separation:
+    for i, j in _close_pairs(pts, 1e-6):
+        if float(np.max(np.abs(nodes[i] - nodes[j]))) < 0.25:
             continue
         gap = float(np.linalg.norm(pts[i] - pts[j]))
         if gap < min_gap:
             min_gap = gap
             collision = (tuple(nodes[i]), tuple(nodes[j]), gap)
 
-    x_edges, y_edges = _window_edges(window, cells)
+    cells = 40
+    x_edges, y_edges = _window_edges((0.0, 4.0, -4.0, 4.0), cells)
     grid = np.zeros((cells, cells), dtype=int)
     _mark_samples(grid, x_edges, y_edges, pts)
     unreached = int(np.sum(grid == 0))

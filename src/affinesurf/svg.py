@@ -19,30 +19,33 @@ def _fmt(v: float) -> str:
     return "0.000" if out == "-0.000" else out
 
 
+# side of the square a window is fitted into, and the blank margin around it
+_SIZE = 640
+_MARGIN = 20.0
+
+
 class SvgCanvas:
     """Accumulates shapes in data coordinates over a fixed window."""
 
-    def __init__(self, window, *, size: int = 640, margin: float = 20.0):
+    def __init__(self, window):
         x_lo, x_hi, y_lo, y_hi = (float(w) for w in window)
         if not (x_lo < x_hi and y_lo < y_hi):
             raise ValueError("window must satisfy x_lo < x_hi and y_lo < y_hi")
         self.window = (x_lo, x_hi, y_lo, y_hi)
         span_x, span_y = x_hi - x_lo, y_hi - y_lo
-        inner = size - 2.0 * margin
-        self._scale = inner / max(span_x, span_y)
-        self._margin = margin
-        self.width = 2.0 * margin + span_x * self._scale
-        self.height = 2.0 * margin + span_y * self._scale
+        self._scale = (_SIZE - 2.0 * _MARGIN) / max(span_x, span_y)
+        self.width = 2.0 * _MARGIN + span_x * self._scale
+        self.height = 2.0 * _MARGIN + span_y * self._scale
         self._body: list[str] = []
 
     def _map(self, x: float, y: float) -> tuple[float, float]:
         x_lo, _, y_lo, y_hi = self.window
         return (
-            self._margin + (x - x_lo) * self._scale,
-            self._margin + (y_hi - y) * self._scale,
+            _MARGIN + (x - x_lo) * self._scale,
+            _MARGIN + (y_hi - y) * self._scale,
         )
 
-    def polyline(self, points, *, stroke: str = "#204080", width: float = 1.2) -> None:
+    def polyline(self, points) -> None:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] < 2:
             return
@@ -50,8 +53,8 @@ class SvgCanvas:
             f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in (self._map(x, y) for x, y in pts)
         )
         self._body.append(
-            f'<polyline fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}" points="{coords}" />'
+            '<polyline fill="none" stroke="#204080" '
+            f'stroke-width="1.200" points="{coords}" />'
         )
 
     def cell(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float, fill: str) -> None:
@@ -84,16 +87,11 @@ class SvgCanvas:
         )
         return "\n".join([head, *self._body, "</svg>"]) + "\n"
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_string())
 
-
-def coverage_svg(cover, *, size: int = 640) -> str:
+def coverage_svg(cover) -> str:
     """Render a coverage map: unreached cells dark, unknown light, reached open."""
     canvas = SvgCanvas(
-        (cover.x_edges[0], cover.x_edges[-1], cover.y_edges[0], cover.y_edges[-1]),
-        size=size,
+        (cover.x_edges[0], cover.x_edges[-1], cover.y_edges[0], cover.y_edges[-1])
     )
     nx, ny = cover.grid.shape
     for i in range(nx):
@@ -109,9 +107,9 @@ def coverage_svg(cover, *, size: int = 640) -> str:
     return canvas.to_string()
 
 
-def polyline_svg(window, curves, *, size: int = 640) -> str:
+def polyline_svg(window, curves) -> str:
     """Render trajectories (sequences of (x, y) rows) over a window."""
-    canvas = SvgCanvas(window, size=size)
+    canvas = SvgCanvas(window)
     canvas.frame()
     for curve in curves:
         canvas.polyline(curve)

@@ -59,6 +59,12 @@ def test_s4_family():
         get_model("L2", c=1)
 
 
+@pytest.mark.parametrize("name", [n for n in MODEL_NAMES if n != "S4"])
+def test_static_models_are_built_once(name):
+    assert get_model(name) is get_model(name)
+    assert parse_model_spec(name) is get_model(name)
+
+
 def test_every_model_is_locally_symmetric():
     for name in MODEL_NAMES:
         model = get_model(name, c=F(-2, 3)) if name == "S4" else get_model(name)

@@ -64,6 +64,13 @@ class TestVerdictOracle:
         assert l2_reach_verdict((1.0, 0.0), (3.7, 0.0)) == REACHED
         assert l2_reach_verdict((1.0, 0.0), (0.02, 0.0)) == REACHED
 
+    def test_other_line_of_a_null_pair_unreached(self):
+        # the candidate orbit through (1, 0) and (2, -3) is the null line
+        # pair x1 = |x2 + 1|; the base lies on x1 = x2 + 1, the target on
+        # x1 = -(x2 + 1)
+        assert not wedge_reachable((1.0, 0.0), (2.0, -3.0))
+        assert l2_reach_verdict((1.0, 0.0), (2.0, -3.0)) == UNREACHED
+
     def test_nonpositive_x1_unreached(self):
         assert l2_reach_verdict((1.0, 0.0), (-0.5, 0.3)) == UNREACHED
 

@@ -135,15 +135,6 @@ def test_kind_b_straight_line_leaves_chart():
     assert abs(traj.t_escape_forward - 1.0) < 1e-3
 
 
-def test_chart_floor_guard_stops_early():
-    model = get_model("H2")
-    traj = integrate_geodesic(
-        model.field, (1.0, 0.0), (-1.0, 0.0), (0.0, 50.0), chart_floor=1e-10
-    )
-    assert traj.status_forward == "left_chart"
-    assert traj.x[-1, 0] <= 1e-10 * 1.01
-
-
 def test_sample_grid_and_window():
     traj = integrate_geodesic(FLAT, (0.0, 0.0), (1.0, 0.0), (-2.0, 3.0), samples=11)
     assert traj.t[0] == -2.0 and traj.t[-1] == 3.0

@@ -112,6 +112,32 @@ def test_rhs_domain_error_means_stalled_not_crash():
     assert abs(res.ys[-1][0]) < 1e-6
 
 
+@pytest.mark.parametrize("wrong", [[-1.0, 0.0], np.array([-1.0, 0.0])], ids=["list", "array"])
+def test_rhs_with_wrong_length_rejects_the_step(wrong):
+    def f(t, y):
+        return wrong if y[0] < 0.0 else [-1.0]
+
+    res = solve_ode(f, 0.0, [1.0], 5.0)
+    assert res.status == "stalled"
+    assert abs(res.t_final - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "t_end, t_eval, match",
+    [
+        (1.0, [0.5, 0.5], "monotone"),
+        (1.0, [0.6, 0.4], "monotone"),
+        (-1.0, [-0.4, -0.2], "monotone"),
+        (1.0, [-0.1, 0.5], "within"),
+        (1.0, [0.5, 1.1], "within"),
+        (-1.0, [-0.5, -1.5], "within"),
+    ],
+)
+def test_bad_sample_times_raise(t_end, t_eval, match):
+    with pytest.raises(IntegrationError, match=match):
+        solve_ode(lambda t, y: y, 0.0, [1.0], t_end, t_eval=t_eval)
+
+
 def test_rhs_programming_error_raises_instead_of_stalling():
     def f(t, y):
         if t > 0.5:

@@ -165,7 +165,7 @@ class TestNormalForm:
 
     @pytest.mark.parametrize("target", ["l2", "Minkowski", None])
     def test_unknown_target_names_the_accepted_ones(self, target):
-        with pytest.raises(ValueError, match='"minkowski", "L2" or a callable'):
+        with pytest.raises(ValueError, match='"minkowski" or "L2"'):
             verify_isometry(map_T_S2, target, ts2_grid(3))
 
     def test_empty_grid_is_rejected(self):

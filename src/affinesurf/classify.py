@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .curvature import nabla_ricci_table, ricci_table
 from .errors import ClassificationInconclusiveError
-from .fields import ChristoffelField, _numerators, as_coeffs
+from .fields import _SLOTS, ChristoffelField, _numerators, as_coeffs, coeffs_to_tensor
 
 # Wrapped by benchmarks/tracing.py; kind A is classified without a search.
 least_squares = None
@@ -116,8 +116,7 @@ def pushforward(coeffs, matrix) -> tuple:
     if det == 0:
         raise ValueError("matrix is singular")
     inv = ((d, -b), (-c, a)) if exact else ((d / det, -b / det), (-c / det, a / det))
-    gam = [[[coeffs[0], coeffs[1]], [coeffs[2], coeffs[3]]],
-           [[coeffs[2], coeffs[3]], [coeffs[4], coeffs[5]]]]
+    gam = coeffs_to_tensor(coeffs)
     rows = ((a, b), (c, d))
 
     def entry(i, j, k):
@@ -137,8 +136,7 @@ def pushforward(coeffs, matrix) -> tuple:
                     total += fc * fa * fb * gam[ai][bj][ck]
         return total
 
-    out = (entry(0, 0, 0), entry(0, 0, 1), entry(0, 1, 0),
-           entry(0, 1, 1), entry(1, 1, 0), entry(1, 1, 1))
+    out = tuple(entry(i, j, k) for i, j, k in _SLOTS)
     return tuple(Fraction(t * m, det * det * big_d) for t in out) if exact else out
 
 

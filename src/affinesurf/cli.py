@@ -40,7 +40,7 @@ from .errors import (
     ClassificationInconclusiveError,
     IntegrationError,
 )
-from .fields import COEFF_NAMES, ChristoffelField, christoffel_at
+from .fields import COEFF_NAMES, ChristoffelField, christoffel_at, tensor_to_coeffs
 from .geodesics import integrate_geodesic, write_trajectory_csv
 from .lorentz import fit_l2_geodesic
 from .sprays import (
@@ -364,11 +364,8 @@ def cmd_curvature(args, cfg: dict) -> int:
     point = _parse_floats(cfg["point"], 2, "--point")
     print(f"kind: {field.kind}")
     print(f"point: {point[0]:.12g},{point[1]:.12g}")
-    gamma = christoffel_at(field, point)
-    for name, (i, j, k) in zip(
-        COEFF_NAMES, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1))
-    ):
-        print(f"gamma {name}: {gamma[i, j, k]:.12g}")
+    for name, value in zip(COEFF_NAMES, tensor_to_coeffs(christoffel_at(field, point))):
+        print(f"gamma {name}: {value:.12g}")
     if field.kind in ("A", "B"):
         rho = ricci_table(field)
         tbl = "[[" + "], [".join(

@@ -218,7 +218,8 @@ def exp_coverage(
     """
     x_edges, y_edges = _window_edges(window, cells)
     base = (float(base[0]), float(base[1]))
-    if field == get_model("L2").field:
+    l2 = get_model("L2").field
+    if field.kind == l2.kind and field.coeffs == l2.coeffs:
         if not (0.0 < base[0] < math.inf and math.isfinite(base[1])):
             raise DomainError("base point must be finite with x1 > 0")
         grid = _l2_coverage(base, x_edges, y_edges, tol=tol)

@@ -53,15 +53,10 @@ KIND_A = "A"
 KIND_B = "B"
 KIND_ANALYTIC = "analytic"
 
-# (i, j, k) zero-based index of each packed slot, lower pair sorted.
-_SLOT_INDEX = {
-    (0, 0, 0): 0,
-    (0, 0, 1): 1,
-    (0, 1, 0): 2,
-    (0, 1, 1): 3,
-    (1, 1, 0): 4,
-    (1, 1, 1): 5,
-}
+# (i, j, k) zero-based index of each packed slot in packing order, lower
+# pair sorted, and the slot of each such index.
+_SLOTS = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1))
+_SLOT_INDEX = {ijk: slot for slot, ijk in enumerate(_SLOTS)}
 
 # Packed slot of every full-table entry G[i, j, k]: packed[_UNPACK] is G.
 _UNPACK = np.array(
@@ -120,7 +115,7 @@ def coeffs_to_tensor(coeffs):
 
 def tensor_to_coeffs(tensor) -> tuple:
     """Pack a symmetric [i][j][k] table back to the six-slot order."""
-    return tuple(tensor[i][j][k] for (i, j, k) in sorted(_SLOT_INDEX, key=_SLOT_INDEX.get))
+    return tuple(tensor[i][j][k] for i, j, k in _SLOTS)
 
 
 @dataclass(frozen=True)

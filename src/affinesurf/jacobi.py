@@ -1,35 +1,35 @@
 """Jacobi fields along geodesics and conjugate-point location.
 
 A Jacobi field J along a geodesic sigma satisfies the second-order system
-nabla^2 J + R(J, sigma') sigma' = 0.  It is integrated here in a parallel
-frame (e1, e2) transported along sigma, so the unknowns are the frame
-coefficients a with J = a1 e1 + a2 e2 and the equation becomes
+nabla^2 J + R(J, sigma') sigma' = 0.  ``integrate_jacobi`` integrates it in
+a parallel frame (e1, e2) transported along sigma, so the unknowns are the
+frame coefficients a with J = a1 e1 + a2 e2 and the equation becomes
 
     a''_b = [E^{-1} W]_b,   W = -sum_b a_b R(e_b, sigma') sigma'
 
 with E the chart matrix of the frame.
 
-Conjugate points of sigma(0) come in closed form where the curvature is
-parallel.  Then the Jacobi operator K a = R(a, sigma') sigma' has a
-constant matrix in the parallel frame, and in two dimensions K^2 = kappa K
-with kappa = rho(sigma', sigma') (K sigma' = 0, trace K = kappa).  The
-fields with J(0) = 0 are J(t) = S(t) J'(0) with det S(t) = t sin(sqrt(kappa)
-t) / sqrt(kappa), so the conjugate points are t = n pi / sqrt(kappa) when
-kappa > 0 and there are none when kappa <= 0.  ``conjugate_points`` uses
-this on kind-A/B charts that pass the exact nabla rho = 0 test.
+Conjugate points need no frame.  Take the parallel frame (sigma', E).  The
+Jacobi operator K a = R(a, sigma') sigma' has K sigma' = 0 and trace K =
+rho(sigma', sigma') =: kappa, so R(E, sigma') sigma' = kappa E + mu sigma'.
+The field with J(0) = 0, J'(0) = sigma' is t sigma', and the E coefficient
+a of the field with J(0) = 0, J'(0) = E solves the scalar linear equation
 
-Elsewhere (analytic charts, whose symmetry test is only grid-sampled, and
-kind-A/B charts that are not locally symmetric) they are found from two
-Jacobi fields with J(0) = 0 and independent initial derivatives: the
-parameter values where their coefficient determinant vanishes again.  Every
-such zero is a sign change.  In the parallel frame (sigma', E) the field
-with J'(0) = sigma' is t sigma', and the E coefficient a of the field with
-J'(0) = E solves the scalar linear equation a'' + kappa(t) a = 0 with
-a(0) = 0, a'(0) = 1, where R(E, sigma') sigma' = kappa E + mu sigma'.  So
-the determinant is a constant nonzero multiple of t a(t), and a nontrivial
-solution of a'' + kappa a = 0 has only simple zeros.  Each sign change on
-the scan grid is refined by Brent's method (Brent 1973, *Algorithms for
-Minimization without Derivatives*, ch. 4), ported here as ``brentq``.
+    a'' + kappa(t) a = 0,   a(0) = 0,   a'(0) = 1.
+
+The two fields are dependent exactly where t a(t) = 0, so the conjugate
+points of sigma(0) are the zeros of a for t > 0, and a nontrivial solution
+of this equation has only simple zeros: each one is a sign change.
+
+Where the curvature is parallel, kappa is constant along sigma, a(t) =
+sin(sqrt(kappa) t) / sqrt(kappa), and the conjugate points are t = n pi /
+sqrt(kappa) when kappa > 0; there are none when kappa <= 0.
+``conjugate_points`` uses this on kind-A/B charts that pass the exact
+nabla rho = 0 test.  Elsewhere (analytic charts, whose symmetry test is
+only grid-sampled, and kind-A/B charts that are not locally symmetric) it
+integrates a alongside the geodesic and refines each sign change on the
+scan grid by Brent's method (Brent 1973, *Algorithms for Minimization
+without Derivatives*, ch. 4), ported here as ``brentq``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import curvature_at, is_locally_symmetric
-from .errors import FrameDegenerateError, InvalidIVPError
+from .errors import FrameDegenerateError, IntegrationError, InvalidIVPError
 from .fields import KIND_ANALYTIC, ChristoffelField, christoffel_at
 from .geodesics import _check_ivp, _status_of, geodesic_rhs
 from .integrate import solve_ode
@@ -106,10 +106,10 @@ def brentq(f, a: float, b: float, *, xtol: float = 2e-12, maxiter: int = 100) ->
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _pack_state(point, velocity, frame, *coeffs) -> np.ndarray:
+def _pack_state(point, velocity, frame, a, adot) -> np.ndarray:
     """The state ``_jacobi_rhs`` steps: x, v, the frame legs e1 and e2 (the
-    columns of ``frame``), then a and a' of each Jacobi field in turn."""
-    parts = (point, velocity, frame[:, 0], frame[:, 1], *coeffs)
+    columns of ``frame``), then the field's frame coefficients a and a'."""
+    parts = (point, velocity, frame[:, 0], frame[:, 1], a, adot)
     return np.concatenate([np.asarray(c, dtype=float) for c in parts])
 
 
@@ -123,7 +123,7 @@ def _chart_vectors(y: np.ndarray):
     return y[0:2], y[2:4], _frame_matrix(y) @ y[8:10]
 
 
-def _jacobi_rhs(field: ChristoffelField, n_pairs: int):
+def _jacobi_rhs(field: ChristoffelField):
     def f(t, y):
         x = y[0:2]
         v = y[2:4]
@@ -145,15 +145,33 @@ def _jacobi_rhs(field: ChristoffelField, n_pairs: int):
         r = curvature_at(field, x)
         # rv[i, l] = components of R(d_i, v) v
         rv = np.einsum("ijkl,j,k->il", r, v, v)
-        for m in range(n_pairs):
-            base = 8 + 4 * m
-            a = y[base : base + 2]
-            adot = y[base + 2 : base + 4]
-            j_chart = emat @ a
-            w = -j_chart @ rv  # w[l]
-            out[base : base + 2] = adot
-            out[base + 2 : base + 4] = inv @ w
+        j_chart = emat @ y[8:10]
+        w = -j_chart @ rv  # w[l]
+        out[8:10] = y[10:12]
+        out[10:12] = inv @ w
         return out
+
+    return f
+
+
+def _kappa(field: ChristoffelField, p, v) -> float:
+    """kappa = rho(v, v) = R[i, j, k, i] v_j v_k at p, summed from 0.0 in
+    (i, j, k) order."""
+    r = curvature_at(field, p).tolist()
+    kappa = 0.0
+    for i, j, k in itertools.product((0, 1), repeat=3):
+        kappa += r[i][j][k][i] * v[j] * v[k]
+    return kappa
+
+
+def _scalar_jacobi_rhs(field: ChristoffelField):
+    """Right-hand side of y = (x1, x2, v1, v2, a, a'): the geodesic and the
+    scalar Jacobi equation a'' = -rho(v, v) a along it."""
+    geodesic = geodesic_rhs(field)
+
+    def f(t, y):
+        x1, x2, v1, v2, a, adot = y.tolist()
+        return geodesic(t, y[:4]) + [adot, -_kappa(field, (x1, x2), (v1, v2)) * a]
 
     return f
 
@@ -166,7 +184,7 @@ class JacobiSolution:
     x: np.ndarray
     v: np.ndarray
     frame: np.ndarray  # (n, 2, 2) chart matrix, columns are e1 and e2
-    a: np.ndarray  # (n, 2) or (n, n_pairs, 2)
+    a: np.ndarray  # (n, 2)
     adot: np.ndarray
     status: str
     t_escape: float | None
@@ -190,8 +208,8 @@ def _validate_frame(frame) -> np.ndarray:
 def _reachable_cap(field, p, v, t_max, rtol, atol):
     """Largest safe sweep end before the plain geodesic stops.
 
-    The augmented frame/Jacobi system becomes hopelessly stiff inside a
-    finite-time escape, so the geodesic alone (cheap, 4 equations) is run
+    A geodesic system augmented by Jacobi unknowns becomes hopelessly stiff
+    inside a finite-time escape, so the geodesic alone (4 equations) is run
     first; if it stops before t_max the sweep end is pulled back by a small
     relative margin.  Returns (cap, status, t_escape) where status is the
     verdict to report when the cap is the binding constraint.
@@ -234,7 +252,7 @@ def integrate_jacobi(
     cap, cap_status, cap_escape = _reachable_cap(field, p, v, t_max, rtol, atol)
     grid = np.linspace(0.0, cap, samples)
     res = solve_ode(
-        _jacobi_rhs(field, 1), 0.0, y0, cap, rtol=rtol, atol=atol, t_eval=grid
+        _jacobi_rhs(field), 0.0, y0, cap, rtol=rtol, atol=atol, t_eval=grid
     )
     if res.status == "reached":
         status, t_escape = cap_status, cap_escape
@@ -259,7 +277,7 @@ def integrate_jacobi(
 def _parallel_curvature_roots(field, p, v, t_max, rtol, atol) -> list[float]:
     """Conjugate points n pi / sqrt(kappa), kappa = rho(v, v), up to the
     reachable cap of the geodesic; none when kappa <= 0."""
-    kappa = float(np.einsum("ijki,j,k->", curvature_at(field, p), v, v))
+    kappa = _kappa(field, p, v)
     if kappa <= 0.0:
         return []
     period = math.pi / math.sqrt(kappa)
@@ -287,14 +305,12 @@ def conjugate_points(
     only when the first of them lies within t_max, to find how far it
     reaches.  ``scan_samples`` is then unused.
 
-    Otherwise integrates two Jacobi fields with J(0) = 0 and derivative
-    coefficients (1, 0) and (0, 1); their coefficient determinant vanishes
-    exactly at conjugate points, and it changes sign at each of them: it is
-    a constant multiple of t a(t), where a solves a'' + kappa(t) a = 0 and
-    so has only simple zeros (see the module docstring).  Sign changes on a
-    ``scan_samples`` grid are refined by Brent's method re-integrating from
-    the nearest accepted knot, so each root is located to integrator
-    accuracy rather than grid accuracy.
+    Otherwise integrates the scalar Jacobi equation a'' + rho(sigma',
+    sigma') a = 0, a(0) = 0, a'(0) = 1 alongside the geodesic; the
+    conjugate points are the zeros of a, each a sign change (see the module
+    docstring).  Sign changes on a ``scan_samples`` grid are refined by
+    Brent's method re-integrating from the nearest accepted knot, so each
+    root is located to integrator accuracy rather than grid accuracy.
 
     On either path, if the geodesic itself stops before t_max (escape or
     chart exit), only roots up to a small relative margin before the stop
@@ -307,41 +323,32 @@ def conjugate_points(
         raise InvalidIVPError("conjugate points need a nonzero velocity")
     if field.kind != KIND_ANALYTIC and is_locally_symmetric(field):
         return _parallel_curvature_roots(field, p, v, t_max, rtol, atol)
-    # both fields start at a = 0, with a' the e1 and then the e2 coefficient
-    y0 = _pack_state(p, v, np.eye(2), (0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 1.0))
-    rhs = _jacobi_rhs(field, 2)
+    rhs = _scalar_jacobi_rhs(field)
     cap, _, _ = _reachable_cap(field, p, v, t_max, rtol, atol)
     if cap <= 0.0:
         return []
     grid = np.linspace(0.0, cap, scan_samples)
-    res = solve_ode(rhs, 0.0, y0, cap, rtol=rtol, atol=atol, t_eval=grid)
-
-    def det_of(y):
-        return y[8] * y[13] - y[9] * y[12]
-
+    res = solve_ode(rhs, 0.0, [*p, *v, 0.0, 1.0], cap, rtol=rtol, atol=atol, t_eval=grid)
     knots_t, knots_y = res.ts, res.ys
 
-    def det_at(t: float) -> float:
+    def a_at(t: float) -> float:
         idx = int(np.searchsorted(knots_t, t, side="right")) - 1
         idx = max(0, min(idx, knots_t.shape[0] - 1))
         t0, y0k = float(knots_t[idx]), knots_y[idx]
         if t0 == t:
-            return det_of(y0k)
+            return float(y0k[4])
         sub = solve_ode(rhs, t0, y0k, t, rtol=rtol, atol=atol)
         if sub.status != "reached":
-            raise FrameDegenerateError(
-                f"could not re-integrate to t={t} while refining a root"
-            )
-        return det_of(sub.ys[-1])
+            raise IntegrationError(f"could not re-integrate to t={t} while refining a root")
+        return float(sub.ys[-1][4])
 
-    ts = res.sample_ts
-    dets = np.array([det_of(y) for y in res.sample_ys])
-    # the determinant starts at 0 with derivative 0; skip the launch sample
+    ts, avals = res.sample_ts, res.sample_ys[:, 4]
+    # a starts at 0; skip the launch sample
     roots: list[float] = []
     for i in range(1, len(ts) - 1):
-        a, b = dets[i], dets[i + 1]
+        a, b = avals[i], avals[i + 1]
         if a == 0.0 and abs(ts[i]) > 1e-12:
             roots.append(float(ts[i]))
         elif a * b < 0.0:
-            roots.append(brentq(det_at, ts[i], ts[i + 1], xtol=1e-12))
+            roots.append(brentq(a_at, ts[i], ts[i + 1], xtol=1e-12))
     return roots

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coverage import REACHED, UNKNOWN, UNREACHED, CoverageMap, _mark_samples
+from .coverage import REACHED, UNKNOWN, UNREACHED, CoverageMap, _mark_samples, _window_edges
 from .errors import DomainError, LiftAmbiguityError, NotTangentError
 
 __all__ = [
@@ -232,8 +232,6 @@ def coverage_universal_cover(
     needed for a faithful picture.  Spacelike lifts are checked to refocus
     at (0, +-pi) before marking; a failure raises ValueError.
     """
-    from .coverage import _window_edges
-
     u_edges, v_edges = _window_edges(window, cells)
     grid = np.full((len(u_edges) - 1, len(v_edges) - 1), UNREACHED, dtype=int)
     u_cap = max(abs(u_edges[0]), abs(u_edges[-1])) + 0.2

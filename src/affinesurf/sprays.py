@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .catalog import get_model
+from .coverage import _mark_samples, _window_edges
 from .errors import (
     BadNormalizationError,
     DifferentiationFailureError,
@@ -487,7 +488,7 @@ def _variation_column(chart: SprayChart, s: float, ts: np.ndarray):
         out[0.0] = (p0, v0, np.asarray(a0, dtype=float))
     if nonzero.size:
         res = solve_ode(
-            _jacobi_rhs(chart.field, 1), 0.0, y0, float(nonzero[-1]),
+            _jacobi_rhs(chart.field), 0.0, y0, float(nonzero[-1]),
             rtol=1e-11, atol=1e-13, t_eval=nonzero,
         )
         if res.status != "reached":
@@ -704,8 +705,6 @@ def spine_findings(
     n_s: int = 61,
     n_t: int = 61,
 ) -> SpineFindings:
-    from .coverage import _mark_samples, _window_edges
-
     s_vals = np.linspace(chart.s_range[0] + 0.01, chart.s_range[1] - 0.01, n_s)
     nodes = []
     pts = []

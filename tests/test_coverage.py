@@ -28,6 +28,7 @@ from affinesurf.coverage import (
     l2_reach_verdict,
 )
 from affinesurf.errors import DomainError, InvalidIVPError
+from affinesurf.fields import ChristoffelField
 
 
 def wedge_reachable(base, target) -> bool:
@@ -158,6 +159,19 @@ def test_l2_map_makes_no_root_search(monkeypatch):
     field = get_model("L2").field
     cover = exp_coverage(field, (1.0, 0.0), (0.0, 4.0, -4.0, 4.0), 40)
     assert cover.counts()["unknown"] == 0
+
+
+def test_unnamed_l2_table_gets_the_closed_form_map():
+    # the catalog's L2 connection built without its name, and the same
+    # coefficients as a kind-A table, which is a different connection
+    window = (0.0, 4.0, -4.0, 4.0)
+    unnamed = ChristoffelField.type_b((-1, 0, 0, -1, -1, 0))
+    got = exp_coverage(unnamed, (1.0, 0.0), window, 16)
+    want = exp_coverage(get_model("L2").field, (1.0, 0.0), window, 16)
+    assert np.array_equal(got.grid, want.grid)
+    constant = ChristoffelField.type_a((-1, 0, 0, -1, -1, 0))
+    swept = exp_coverage(constant, (1.0, 0.0), window, 4, angles=4, t_max=0.5)
+    assert UNREACHED not in swept.grid
 
 
 class TestSweepMap:

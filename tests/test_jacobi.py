@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affinesurf import jacobi
@@ -16,7 +16,13 @@ from affinesurf.classify import pushforward
 from affinesurf.curvature import curvature_at
 from affinesurf.errors import DomainError, FrameDegenerateError, InvalidIVPError
 from affinesurf.fields import KIND_A, ChristoffelField
-from affinesurf.jacobi import _jacobi_rhs, brentq, conjugate_points, integrate_jacobi
+from affinesurf.jacobi import (
+    _jacobi_rhs,
+    _scalar_jacobi_rhs,
+    brentq,
+    conjugate_points,
+    integrate_jacobi,
+)
 from affinesurf.lorentz import l2_inner
 
 L2 = get_model("L2")
@@ -98,7 +104,7 @@ def test_conjugate_point_on_a_scan_sample_is_reported_once():
 
 
 def test_root_within_the_smallest_step_of_a_knot_is_refined():
-    # kappa = 3/4; Brent asks for the determinant 5e-13 past an accepted knot
+    # kappa = 3/4; Brent asks for a(t) 5e-13 past an accepted knot
     period = math.pi / math.sqrt(0.75)
     found = conjugate_points(PSEUDO.field, (0.0, 0.0), (0.5, -1.0), 1.5 * period)
     assert len(found) == 1
@@ -129,9 +135,12 @@ def test_degenerate_frame_is_rejected():
 
 @pytest.mark.parametrize("x1", [0.0, -0.5])
 def test_kind_b_rhs_outside_chart_raises_domain_error(x1):
+    y = np.array([x1, 0.0, 0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(DomainError):
+        _scalar_jacobi_rhs(L2.field)(0.0, y)
     y = np.array([x1, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
     with pytest.raises(DomainError):
-        _jacobi_rhs(L2.field, 1)(0.0, y)
+        _jacobi_rhs(L2.field)(0.0, y)
 
 
 def test_bad_ivp_propagates():
@@ -320,14 +329,55 @@ def test_numeric_conjugate_points_sit_at_multiples_of_pi_over_root_kappa(launch)
     assert max(abs(f - w) for f, w in zip(found, want)) < 1e-9
 
 
+# A chart that is not locally symmetric: Gamma^1_22 = x1 + 0.3 x1**3 (S3~ has
+# Gamma^1_22 = x1).  Its geodesics oscillate in x1 and never stop.  The
+# determinant of the two fields integrate_jacobi gives with J(0) = 0 and J'(0)
+# = e1, e2 is an oracle for the scalar equation conjugate_points integrates.
+CUBIC = ChristoffelField.analytic(
+    lambda x1, x2: (0.0, 0.0, 0.0, 0.0, x1 + 0.3 * x1 ** 3, 0.0),
+    lambda x1, x2: ((0.0, 0.0),) * 4 + ((1.0 + 0.9 * x1 ** 2, 0.0), (0.0, 0.0)),
+)
+
+
+def _two_field_determinant(p, v, t_max, samples):
+    one, two = (integrate_jacobi(CUBIC, p, v, (0.0, 0.0), e, t_max, samples=samples)
+                for e in ((1.0, 0.0), (0.0, 1.0)))
+    assert one.status == two.status == "complete"
+    return one.t, one.a[:, 0] * two.a[:, 1] - one.a[:, 1] * two.a[:, 0]
+
+
+@st.composite
+def cubic_launches(draw):
+    """A launch on CUBIC whose span holds up to two conjugate points."""
+    p = (draw(st.floats(min_value=-0.6, max_value=0.6)), draw(unit_floats))
+    v2 = draw(st.floats(min_value=0.7, max_value=1.3)) * draw(st.sampled_from([-1.0, 1.0]))
+    v = (draw(st.floats(min_value=-0.5, max_value=0.5)), v2)
+    return p, v, draw(st.floats(min_value=2.0, max_value=8.0))
+
+
+@settings(max_examples=5, deadline=None)
+@example(((0.5, 0.0), (0.2, 1.0), 8.0))  # roots near 3.0199 and 6.0361
+@given(cubic_launches())
+def test_conjugate_points_are_the_sign_changes_of_the_two_field_determinant(launch):
+    p, v, t_max = launch
+    found = conjugate_points(CUBIC, p, v, t_max)
+    t, det = _two_field_determinant(p, v, t_max, 401)
+    scale = float(np.max(np.abs(det)))
+    flips = [i for i in range(1, len(t) - 1) if det[i] * det[i + 1] < 0.0]
+    assert len(flips) == len(found)
+    for i, root in zip(flips, found):
+        assert t[i] <= root <= t[i + 1]
+        assert abs(_two_field_determinant(p, v, root, 2)[1][-1]) <= 1e-7 * scale
+
+
 def _count_sweeps(monkeypatch):
     built = []
 
-    def counting(field, n_pairs):
-        built.append(n_pairs)
-        return _jacobi_rhs(field, n_pairs)
+    def counting(field):
+        built.append(field)
+        return _scalar_jacobi_rhs(field)
 
-    monkeypatch.setattr(jacobi, "_jacobi_rhs", counting)
+    monkeypatch.setattr(jacobi, "_scalar_jacobi_rhs", counting)
     return built
 
 
@@ -335,7 +385,7 @@ def test_non_symmetric_kind_b_chart_takes_the_numeric_sweep(monkeypatch):
     field = ChristoffelField.type_b((0, 0, 1, 0, 0, 1))
     built = _count_sweeps(monkeypatch)
     conjugate_points(field, (1.0, 0.0), (0.3, 1.0), 1.0)
-    assert built == [2]
+    assert built == [field]
 
 
 @pytest.mark.parametrize("v", [(0.0, 1.0), (math.sqrt(2.0), 1.0), (1.0, 1.0)])
@@ -371,7 +421,7 @@ def test_closed_form_path_lists_every_root_up_to_the_cap(monkeypatch):
 
 
 def test_closed_form_path_needs_no_transported_frame():
-    # a sheared L2 image with kappa < 0, where the numeric sweep's frame
+    # a sheared L2 image with kappa < 0, where a transported frame
     # degenerates as the geodesic runs into collapse
     field = ChristoffelField.type_b(("-5/4", "-3/8", "-1/2", "-3/4", "-1", "1/2"))
     p = (0.3570046197007457, -0.6081162431890494)

@@ -10,9 +10,8 @@ Exit codes: 0 any computed verdict, 2 malformed input or configuration,
 3 inconclusive classification, 4 integration failure.  Outputs depend
 only on the supplied configuration and seed, so repeated runs are
 byte-identical (golden-file testable).  Coefficients such as ``-1/2`` are
-positional values, with or without a ``--`` separator before them; option
-values that start with a minus sign need the ``--option=value`` form, for
-example ``--tspan=-2,2``.
+positional values, with or without a ``--`` separator before them, and
+option values may start with a minus sign, as in ``--tspan -2,2``.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ DEFAULTS = {
     "curvature": {"point": "1,0"},
 }
 
-# Tokens such as -1/2 are coefficients too; argparse alone takes only -1 and -0.5
+# Tokens such as -1/2 or -1,1 are values too; argparse alone takes only -1 and -0.5
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 _SPRAY_TARGETS = ("TS2", "TL2", "composition", "spine-vertical", "spine-horizontal")
@@ -131,15 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--p0", required=True, help="start point x1,x2")
     p.add_argument("--v0", required=True, help="start velocity v1,v2")
-    p.add_argument(
-        "--tspan", required=True,
-        help="window t_min,t_max containing 0 (use --tspan=-2,2 for negatives)",
-    )
+    p.add_argument("--tspan", required=True, help="window t_min,t_max containing 0")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--rtol", type=float, default=None)
     p.add_argument("--atol", type=float, default=None)
     p.add_argument("--format", choices=("csv", "svg", "text"), default=None)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("expmap", help="coverage map of the exponential map")
     p.add_argument("--model", required=True)
@@ -151,6 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--format", choices=("csv", "svg"), default=None)
     p.add_argument("--out", default=None)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("spray", help="verify a null spray or spine chart")
     p.add_argument("--verify", choices=_SPRAY_TARGETS, required=True)

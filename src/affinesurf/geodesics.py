@@ -2,9 +2,15 @@
 
 The geodesic system is integrated in first-order form y = (x1, x2, v1, v2)
 with y' = (v, -G(v, v)) where G is the pointwise connection table.  A
-trajectory that cannot be continued to the requested parameter bound is
-reported with a finite escape-time estimate; completeness probes are built
-on top of that diagnosis.
+kind-B table G = C/x1 is integrated instead in y = (x1, x2, p1, p2) with
+p = v/x1, which the chart's symmetries (x1, x2) -> (s x1, s x2 + t) fix:
+x1' = p1 x1, x2' = p2 x1, p' = -C(p, p) - p1 p.  This system is polynomial,
+so steps do not shrink as x1 decays, and a run into x1 = 0 shows as a
+blowup of p.  Trajectories hold chart values (v = x1 p); the raw
+``IntegrationResult``/``BatchResult`` rows of a kind-B run hold
+(x1, x2, p1, p2).  A trajectory that cannot be continued to the requested
+parameter bound is reported with a finite escape-time estimate;
+completeness probes are built on top of that diagnosis.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidIVPError
-from .fields import KIND_B, ChristoffelField, Point2, christoffel_at
+from .errors import DomainError, InvalidIVPError
+from .fields import KIND_A, KIND_B, ChristoffelField, Point2, christoffel_at
 from .integrate import BatchResult, IntegrationResult, solve_ode, solve_ode_batch
 
 __all__ = [
@@ -39,12 +45,14 @@ def geodesic_rhs(field: ChristoffelField) -> Callable:
 
     Takes y as a float ndarray (4,) and returns a list of floats.  G(v, v)_k
     is summed from 0.0 over (i, j) in order as (G[i, j, k] * v_i) * v_j,
-    which gives the bits of ``np.einsum("ijk,i,j->k", G, v, v)``.
+    which gives the bits of ``np.einsum("ijk,i,j->k", G, v, v)``.  A kind-A
+    table is read once, when f is built; other kinds evaluate G at each y.
     """
+    table = christoffel_at(field, (0.0, 0.0)).tolist() if field.kind == KIND_A else None
 
     def f(t, y):
         x1, x2, v1, v2 = y.tolist()
-        (g00, g01), (g10, g11) = christoffel_at(field, (x1, x2)).tolist()
+        (g00, g01), (g10, g11) = table or christoffel_at(field, (x1, x2)).tolist()
         return [v1, v2] + [
             -(0.0 + a * v1 * v1 + b * v1 * v2 + c * v2 * v1 + e * v2 * v2)
             for a, b, c, e in zip(g00, g01, g10, g11)
@@ -54,22 +62,57 @@ def geodesic_rhs(field: ChristoffelField) -> Callable:
 
 
 def geodesic_rhs_batch(field: ChristoffelField) -> Callable:
-    """``geodesic_rhs`` for n states at once, the rows of y (n, 4).
-
-    A row outside the chart of a kind-B field gets NaN derivatives, which
-    make ``solve_ode_batch`` reject that row's step alone.
-    """
+    """``geodesic_rhs`` for n states at once, the rows of y (n, 4)."""
 
     def f(t, y):
         x = y[:, 0:2]
-        if field.kind == KIND_B:
-            x = np.where(x[:, 0:1] > 0.0, x, np.nan)
         g = christoffel_at(field, x)
         v = y[:, 2:4]
         acc = -np.einsum("nijk,ni,nj->nk", g, v, v)
         return np.concatenate((v, acc), axis=1)
 
     return f
+
+
+def _reduced_rhs(field: ChristoffelField) -> Callable:
+    """Right-hand side of the kind-B system in y = (x1, x2, p1, p2), p = v/x1.
+
+    C(p, p)_k is summed as in ``geodesic_rhs``, on the table C read once;
+    a state with x1 <= 0 raises ``DomainError``.
+    """
+    (c00, c01), (c10, c11) = christoffel_at(field, (1.0, 0.0)).tolist()
+
+    def f(t, y):
+        x1, x2, p1, p2 = y.tolist()
+        if not x1 > 0.0:
+            raise DomainError("x1 <= 0 lies outside the chart of a kind-B field")
+        return [p1 * x1, p2 * x1] + [
+            -(0.0 + a * p1 * p1 + b * p1 * p2 + c * p2 * p1 + e * p2 * p2) - p1 * p
+            for a, b, c, e, p in zip(c00, c01, c10, c11, (p1, p2))
+        ]
+
+    return f
+
+
+def _reduced_rhs_batch(field: ChristoffelField) -> Callable:
+    """``_reduced_rhs`` for n states at once, the rows of y (n, 4); a row
+    with x1 <= 0 gets NaN derivatives."""
+    table = christoffel_at(field, (1.0, 0.0))
+
+    def f(t, y):
+        x1 = y[:, 0:1]
+        p = y[:, 2:4]
+        acc = -np.einsum("ijk,ni,nj->nk", table, p, p) - p[:, 0:1] * p
+        return np.concatenate((p * np.where(x1 > 0.0, x1, np.nan), acc), axis=1)
+
+    return f
+
+
+def _state(field: ChristoffelField, p, v) -> list[float]:
+    """Stepped state at chart point p with velocity v."""
+    if field.kind == KIND_B:
+        return [p[0], p[1], v[0] / p[0], v[1] / p[0]]
+    return [*p, *v]
 
 
 def _check_ivp(field: ChristoffelField, point, velocity):
@@ -87,12 +130,21 @@ def _check_ivp(field: ChristoffelField, point, velocity):
 
 
 def _status_of(field: ChristoffelField, res: IntegrationResult) -> str:
+    """Status of a run in chart form (x1, x2, v1, v2)."""
     if res.status == "reached":
         return COMPLETE
     if res.status == "stalled" and field.kind == KIND_B and res.ys[-1][0] < 1e-6:
         # steps collapsed against the x1 = 0 chart boundary
         return "left_chart"
     return res.status
+
+
+def _stepped_status(field: ChristoffelField, res: IntegrationResult) -> str:
+    """Status of a run of the state ``_state`` builds; a kind-B run into
+    x1 = 0 is a blowup of p = v/x1."""
+    if res.status == "blowup" and field.kind == KIND_B and res.ys[-1][0] < 1e-6:
+        return "left_chart"
+    return _status_of(field, res)
 
 
 @dataclass
@@ -162,13 +214,15 @@ def integrate_geodesic(
 ) -> GeodesicTrajectory:
     """Integrate a geodesic across a window [t_min, t_max] containing 0.
 
-    A kind-B trajectory whose steps collapse against the x1 = 0 chart
-    boundary is reported ``"left_chart"``.
+    A kind-B trajectory that runs into the x1 = 0 chart edge is reported
+    ``"left_chart"``.  ``result_forward``/``result_backward`` hold the
+    stepped states: (x1, x2, v1, v2), or (x1, x2, p1, p2) with p = v/x1 for
+    kind B.
     """
     p, v = _check_ivp(field, point, velocity)
     lo, hi = _normalize_span(t_span)
-    rhs = geodesic_rhs(field)
-    y0 = np.array([p[0], p[1], v[0], v[1]])
+    rhs = _reduced_rhs(field) if field.kind == KIND_B else geodesic_rhs(field)
+    y0 = _state(field, p, v)
     back_eval, fwd_eval = _sample_times(lo, hi, samples)
 
     def run(t_end, t_eval):
@@ -191,13 +245,13 @@ def integrate_geodesic(
 
     if lo < 0.0:
         res_b = run(lo, back_eval)
-        status_b = _status_of(field, res_b)
+        status_b = _stepped_status(field, res_b)
         esc_b = res_b.t_escape
         parts_t.append(res_b.sample_ts[::-1])
         parts_y.append(res_b.sample_ys[::-1])
     if hi > 0.0:
         res_f = run(hi, fwd_eval)
-        status_f = _status_of(field, res_f)
+        status_f = _stepped_status(field, res_f)
         esc_f = res_f.t_escape
         start = 1 if parts_t and parts_t[-1].size and parts_t[-1][-1] == 0.0 else 0
         parts_t.append(res_f.sample_ts[start:])
@@ -205,6 +259,8 @@ def integrate_geodesic(
 
     ts = np.concatenate(parts_t)
     ys = np.concatenate(parts_y)
+    if field.kind == KIND_B:
+        ys[:, 2:4] *= ys[:, 0:1]  # v = x1 p
     return GeodesicTrajectory(
         t=ts,
         x=ys[:, 0:2],
@@ -235,13 +291,15 @@ def integrate_geodesics(
     t_span, ...)`` takes, with the same sample times, but all rows are
     stepped together by ``solve_ode_batch``.  Returns the backward run (0
     down to t_min) when t_min < 0, then the forward run (0 up to t_max)
-    when t_max > 0.
+    when t_max > 0.  The rows hold the states ``integrate_geodesic`` steps:
+    (x1, x2, v1, v2), or (x1, x2, p1, p2) with p = v/x1 for kind B, so
+    columns 0:2 are chart points either way.
     """
     p = _check_ivp(field, point, (0.0, 0.0))[0]
-    y0 = np.array([p + _check_ivp(field, p, v)[1] for v in velocities]).reshape(-1, 4)
+    y0 = np.reshape([_state(field, p, _check_ivp(field, p, v)[1]) for v in velocities], (-1, 4))
     lo, hi = _normalize_span(t_span)
     back_eval, fwd_eval = _sample_times(lo, hi, samples)
-    rhs = geodesic_rhs_batch(field)
+    rhs = _reduced_rhs_batch(field) if field.kind == KIND_B else geodesic_rhs_batch(field)
     return [
         solve_ode_batch(rhs, 0.0, y0, t_end, t_eval, rtol=rtol, atol=atol, max_steps=max_steps)
         for t_end, t_eval in ((lo, back_eval), (hi, fwd_eval))
@@ -275,16 +333,11 @@ def exp_map(
     p, v = _check_ivp(field, point, velocity)
     if v == (0.0, 0.0):
         return Point2(p[0], p[1])
+    rhs = _reduced_rhs(field) if field.kind == KIND_B else geodesic_rhs(field)
     res = solve_ode(
-        geodesic_rhs(field),
-        0.0,
-        np.array([p[0], p[1], v[0], v[1]]),
-        1.0,
-        rtol=rtol,
-        atol=atol,
-        max_steps=max_steps,
+        rhs, 0.0, _state(field, p, v), 1.0, rtol=rtol, atol=atol, max_steps=max_steps
     )
-    status = _status_of(field, res)
+    status = _stepped_status(field, res)
     if status == COMPLETE:
         yf = res.ys[-1]
         return Point2(float(yf[0]), float(yf[1]))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -508,3 +509,23 @@ def test_non_finite_bounds_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "finite" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expmap", "--model", "S3", "--base", "0,0", "--window", "-1,1,-1,1",
+         "--cells", "8", "--angles", "16"),
+        ("geodesic", "--model", "S1", "--p0", "-0.5,0", "--v0", "1,0", "--tspan", "0,1"),
+        ("geodesic", "--model", "S1", "--p0", "0,0", "--v0", "-1,0", "--tspan", "-1,1",
+         "--format", "text"),
+    ],
+)
+def test_option_values_may_start_with_a_minus_sign(capsys, argv):
+    # argparse alone reads -1,1,-1,1 as an unknown flag and exits 2; the
+    # spaced form must do what the --option=value form does
+    got = run_cli(capsys, *argv)
+    assert got[0] == 0, got[2]
+    joined = re.sub(r" (-[.\d])", r"=\1", " ".join(argv)).split()
+    assert joined != list(argv)
+    assert got == run_cli(capsys, *joined)

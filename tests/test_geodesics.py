@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from affinesurf.errors import InvalidIVPError
 from affinesurf.fields import ChristoffelField
 from affinesurf.geodesics import (
     Incomplete,
+    _status_of,
+    _stepped_status,
     exp_map,
     geodesic_rhs,
     integrate_geodesic,
@@ -119,6 +122,51 @@ def test_h2_is_complete_through_the_horizon_crawl():
     assert np.all(traj.x[:, 0] > 0.0)
 
 
+def test_h2_launch_toward_the_edge_stays_on_its_semicircle():
+    # H2 geodesics are semicircles centred on x1 = 0; from (1, 0) along
+    # (-1, 0.5) the orbit is x1**2 + (x2 + 2)**2 = 5, and x1 decays like
+    # e**-|t| toward both ends
+    traj = integrate_geodesic(get_model("H2").field, (1.0, 0.0), (-1.0, 0.5), (-50.0, 50.0))
+    assert traj.complete
+    assert np.max(traj.x[[0, -1], 0]) < 1e-20
+    orbit = traj.x[:, 0] ** 2 + (traj.x[:, 1] + 2.0) ** 2
+    assert np.max(np.abs(orbit - 5.0)) < 1e-8
+
+
+# Kind-B charts are invariant under (x1, x2) -> (s x1, s x2 + d), which maps
+# the geodesic from (p, v) to the one from (s p1, s p2 + d, s v): the same
+# statuses and escape times, with the trajectory moved by the map.
+META_LAUNCHES = [
+    ("H2", (1.0, 0.1), (0.6, 0.8)),
+    ("H2", (1.0, 0.0), (-1.0, 0.5)),
+    ("S5", (1.0, 0.0), (0.3, 1.0)),
+    ("S5", (1.0, 0.0), (-1.0, 0.2)),
+    ("L2", (1.0, 0.0), (0.0, 1.0)),  # spacelike: escapes both ways
+    ("L2", (1.0, 0.0), (1.0, 1.0)),  # null: escapes forward only
+    ("L2", (2.0, -1.0), (0.3, 1.1)),
+]
+
+
+@pytest.mark.parametrize("s, d", [(1.0, 0.75), (1.0, -5.0), (0.5, 0.0), (3.0, 0.0)])
+@pytest.mark.parametrize("name, p, v", META_LAUNCHES)
+def test_kind_b_geodesics_follow_the_chart_symmetries(name, p, v, s, d):
+    field = get_model(name).field
+    base = integrate_geodesic(field, p, v, (-6.0, 6.0), samples=49)
+    moved = integrate_geodesic(field, (s * p[0], s * p[1] + d), (s * v[0], s * v[1]),
+                               (-6.0, 6.0), samples=49)
+    assert moved.status_forward == base.status_forward
+    assert moved.status_backward == base.status_backward
+    for got, want in ((moved.t_escape_forward, base.t_escape_forward),
+                      (moved.t_escape_backward, base.t_escape_backward)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert abs(got - want) <= 1e-9 * abs(want)
+    assert moved.t.tolist() == base.t.tolist()
+    np.testing.assert_allclose(moved.x, s * base.x + [0.0, d], rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(moved.v, s * base.v, rtol=1e-8, atol=1e-8)
+    assert base.complete == (name != "L2")
+
+
 def test_l2_null_geodesic_escapes_one_way_only():
     model = get_model("L2")
     traj = integrate_geodesic(model.field, (1.0, 0.0), (1.0, 1.0), (-5.0, 5.0))
@@ -133,6 +181,17 @@ def test_kind_b_straight_line_leaves_chart():
     traj = integrate_geodesic(fb, (1.0, 0.0), (-1.0, 0.0), (0.0, 5.0))
     assert traj.status_forward == "left_chart"
     assert abs(traj.t_escape_forward - 1.0) < 1e-3
+
+
+def test_only_the_reduced_state_reads_a_blowup_at_the_edge_as_left_chart():
+    # p = v/x1 blows up as a reduced kind-B run reaches x1 = 0; a chart-form
+    # run, as jacobi steps, keeps the solver's "blowup" there
+    fb = ChristoffelField.type_b((0, 0, 0, 0, 0, 0))
+    blowup = SimpleNamespace(status="blowup", ys=np.array([[1e-9, 0.0, -1e9, 0.0]]))
+    assert _stepped_status(fb, blowup) == "left_chart"
+    assert _status_of(fb, blowup) == "blowup"
+    stalled = SimpleNamespace(status="stalled", ys=blowup.ys)
+    assert _stepped_status(fb, stalled) == _status_of(fb, stalled) == "left_chart"
 
 
 def test_sample_grid_and_window():

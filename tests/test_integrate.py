@@ -17,6 +17,9 @@ from affinesurf.catalog import get_model
 from affinesurf.errors import DomainError, IntegrationError
 from affinesurf.fields import ChristoffelField
 from affinesurf.geodesics import (
+    _reduced_rhs,
+    _reduced_rhs_batch,
+    _state,
     geodesic_rhs,
     geodesic_rhs_batch,
     integrate_geodesic,
@@ -213,7 +216,8 @@ BATCH_CASES = {
     "L2-null": (get_model("L2").field, (1.0, 0.0), [(1.0, 1.0), (-1.0, -1.0), (0.5, 1.0)],
                 5.0, {}),
     # kind-B straight lines run into x1 = 0 at t = 1, 1/2 and 1/4; their
-    # stages beyond the edge come back NaN and are rejected row by row
+    # stages beyond the edge come back NaN and are rejected row by row, and
+    # p = v/x1 blows up
     "kind-B-edge": (ChristoffelField.type_b((0, 0, 0, 0, 0, 0)), (1.0, 0.0),
                     [(-1.0, 0.0), (-2.0, 0.5), (-4.0, 1.0), (1.0, 0.0)], 2.0, {}),
     "S3-budget": (get_model("S3").field, (0.1, -0.2), _fan(4), 4.0, {"max_steps": 40}),
@@ -235,27 +239,48 @@ def test_batched_rows_match_solo_runs(case):
 
 def test_batched_rows_stopping_at_different_times():
     # three rows leave the chart at three different times and one reaches
-    # t_end: the rows still running after each stop must keep their state
+    # t_end: the rows still running after each stop must keep their state.
+    # Kind-B rows hold (x1, x2, p1, p2) with p = v/x1, and p blows up at x1 = 0
     field, base, velocities, t_max, _ = BATCH_CASES["kind-B-edge"]
     runs = integrate_geodesics(field, base, velocities, (0.0, t_max), samples=81)
     (fwd,) = runs
-    assert fwd.status == ["stalled", "stalled", "stalled", "reached"]
+    assert fwd.status == ["blowup", "blowup", "blowup", "reached"]
     assert fwd.t_final[:3] == pytest.approx([1.0, 0.5, 0.25], abs=1e-6)
     assert fwd.t_final[3] == t_max
-    assert fwd.y_final[3] == pytest.approx([1.0 + t_max, 0.0, 1.0, 0.0], abs=1e-9)
+    assert fwd.y_final[3] == pytest.approx([1.0 + t_max, 0.0, 1.0 / (1.0 + t_max), 0.0],
+                                           abs=1e-9)
     for r, v in enumerate(velocities):
         solo = integrate_geodesic(field, base, v, (0.0, t_max), samples=81)
         _assert_row_matches(fwd, r, solo.result_forward)
 
 
-# a chart point of each model to launch random fans from
+# a chart point of each model to launch random fans from; the kind-B models
+# are stepped in the reduced state and get their own property
 FAN_BASES = {"S1": (0.0, 0.0), "S2": (0.0, 0.0), "S3": (0.1, -0.2), "S3~": (0.75, 0.0),
              "S5": (1.0, 0.0), "H2": (1.0, 0.1), "L2": (1.0, 0.0), "pseudosphere": (0.0, 0.0)}
+KIND_B_FANS = ["H2", "L2", "S5"]
+
+
+def _assert_fan_bits(batch_rhs, rhs, y0, forward, max_steps):
+    t_end = 3.0 if forward else -3.0
+    t_eval = np.linspace(0.0, t_end, 9)
+    kw = dict(rtol=1e-8, atol=1e-10, max_steps=max_steps)
+    batch = solve_ode_batch(batch_rhs, 0.0, y0, t_end, t_eval, **kw)
+    for r, y in enumerate(y0):
+        solo = solve_ode(rhs, 0.0, y, t_end, t_eval=t_eval, **kw)
+        m = int(batch.n_samples[r])
+        assert (batch.status[r], batch.message[r]) == (solo.status, solo.message)
+        assert batch.nfev[r] == solo.nfev
+        assert batch.t_final[r] == solo.t_final
+        assert batch.t_escape[r] == solo.t_escape
+        assert batch.y_final[r].tobytes() == solo.ys[-1].tobytes()
+        assert m == len(solo.sample_ts)
+        assert batch.sample_ys[r, :m].tobytes() == solo.sample_ys.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    name=st.sampled_from(sorted(FAN_BASES)),
+    name=st.sampled_from(sorted(set(FAN_BASES) - set(KIND_B_FANS))),
     velocities=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
                         min_size=1, max_size=4),
     forward=st.booleans(),
@@ -266,20 +291,25 @@ def test_random_fans_match_solo_runs_bit_for_bit(name, velocities, forward, max_
     # operations in the same order must give every row the same bits
     field = get_model(name).field
     y0 = [[*FAN_BASES[name], *v] for v in velocities]
-    t_end = 3.0 if forward else -3.0
-    t_eval = np.linspace(0.0, t_end, 9)
-    kw = dict(rtol=1e-8, atol=1e-10, max_steps=max_steps)
-    batch = solve_ode_batch(geodesic_rhs_batch(field), 0.0, y0, t_end, t_eval, **kw)
-    for r, y in enumerate(y0):
-        solo = solve_ode(geodesic_rhs(field), 0.0, y, t_end, t_eval=t_eval, **kw)
-        m = int(batch.n_samples[r])
-        assert (batch.status[r], batch.message[r]) == (solo.status, solo.message)
-        assert batch.nfev[r] == solo.nfev
-        assert batch.t_final[r] == solo.t_final
-        assert batch.t_escape[r] == solo.t_escape
-        assert batch.y_final[r].tobytes() == solo.ys[-1].tobytes()
-        assert m == len(solo.sample_ts)
-        assert batch.sample_ys[r, :m].tobytes() == solo.sample_ys.tobytes()
+    _assert_fan_bits(geodesic_rhs_batch(field), geodesic_rhs(field), y0, forward, max_steps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(KIND_B_FANS),
+    velocities=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                        min_size=1, max_size=4),
+    forward=st.booleans(),
+    max_steps=st.integers(1, 300),
+)
+def test_random_reduced_kind_b_fans_match_solo_runs_bit_for_bit(
+    name, velocities, forward, max_steps
+):
+    # the pair integrate_geodesics and integrate_geodesic step for kind B,
+    # in (x1, x2, p1, p2) with p = v/x1
+    field = get_model(name).field
+    y0 = [_state(field, FAN_BASES[name], v) for v in velocities]
+    _assert_fan_bits(_reduced_rhs_batch(field), _reduced_rhs(field), y0, forward, max_steps)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

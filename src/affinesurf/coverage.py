@@ -11,7 +11,8 @@ failed numeric confirmation degrades to "unknown", never to "unreachable".
 
 For other models no closed forms are available, so a sweep of launch
 directions marks cells that sampled geodesic points land in, and
-everything else stays unknown.
+everything else stays unknown.  One batched run steps both halves of
+every launch, and one pass marks all of its samples.
 """
 
 from __future__ import annotations
@@ -189,12 +190,11 @@ def _sweep_coverage(
     grid = np.full((len(x_edges) - 1, len(y_edges) - 1), UNKNOWN, dtype=int)
     thetas = (2.0 * math.pi * k / angles for k in range(angles))
     velocities = [(math.cos(th), math.sin(th)) for th in thetas]
-    runs = integrate_geodesics(
+    run = integrate_geodesics(
         field, base, velocities, (-t_max, t_max), samples=401, rtol=1e-8, atol=1e-10
     )
-    for run in runs:
-        filled = np.arange(run.sample_ts.size) < run.n_samples[:, np.newaxis]
-        _mark_samples(grid, x_edges, y_edges, run.sample_ys[filled, 0:2])
+    filled = np.arange(run.sample_ts.shape[1]) < run.n_samples[:, np.newaxis]
+    _mark_samples(grid, x_edges, y_edges, run.sample_ys[filled, 0:2])
     return grid
 
 

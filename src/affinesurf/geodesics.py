@@ -62,13 +62,16 @@ def geodesic_rhs(field: ChristoffelField) -> Callable:
 
 
 def geodesic_rhs_batch(field: ChristoffelField) -> Callable:
-    """``geodesic_rhs`` for n states at once, the rows of y (n, 4)."""
+    """``geodesic_rhs`` for n states at once, the rows of y (n, 4).  A kind-A
+    table is read once, when f is built; other kinds evaluate G per row."""
+    table = christoffel_at(field, (0.0, 0.0)) if field.kind == KIND_A else None
 
     def f(t, y):
-        x = y[:, 0:2]
-        g = christoffel_at(field, x)
         v = y[:, 2:4]
-        acc = -np.einsum("nijk,ni,nj->nk", g, v, v)
+        if table is None:
+            acc = -np.einsum("nijk,ni,nj->nk", christoffel_at(field, y[:, 0:2]), v, v)
+        else:
+            acc = -np.einsum("ijk,ni,nj->nk", table, v, v)
         return np.concatenate((v, acc), axis=1)
 
     return f
@@ -130,10 +133,12 @@ def _check_ivp(field: ChristoffelField, point, velocity):
 
 
 def _status_of(field: ChristoffelField, res: IntegrationResult) -> str:
-    """Status of a run in chart form (x1, x2, v1, v2)."""
+    """Status of a run in chart form (x1, x2, v1, v2).  A kind-B run is at
+    the x1 = 0 edge when x1 fell below 1e-6 of its launch value, a test the
+    chart's scaling x -> s x keeps."""
     if res.status == "reached":
         return COMPLETE
-    if res.status == "stalled" and field.kind == KIND_B and res.ys[-1][0] < 1e-6:
+    if res.status == "stalled" and field.kind == KIND_B and res.ys[-1][0] < 1e-6 * res.ys[0][0]:
         # steps collapsed against the x1 = 0 chart boundary
         return "left_chart"
     return res.status
@@ -142,7 +147,7 @@ def _status_of(field: ChristoffelField, res: IntegrationResult) -> str:
 def _stepped_status(field: ChristoffelField, res: IntegrationResult) -> str:
     """Status of a run of the state ``_state`` builds; a kind-B run into
     x1 = 0 is a blowup of p = v/x1."""
-    if res.status == "blowup" and field.kind == KIND_B and res.ys[-1][0] < 1e-6:
+    if res.status == "blowup" and field.kind == KIND_B and res.ys[-1][0] < 1e-6 * res.ys[0][0]:
         return "left_chart"
     return _status_of(field, res)
 
@@ -284,27 +289,30 @@ def integrate_geodesics(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_steps: int = 500_000,
-) -> list[BatchResult]:
+) -> BatchResult:
     """Integrate the geodesics from one point along each row of ``velocities``.
 
-    Row r takes the steps ``integrate_geodesic(field, point, velocities[r],
-    t_span, ...)`` takes, with the same sample times, but all rows are
-    stepped together by ``solve_ode_batch``.  Returns the backward run (0
-    down to t_min) when t_min < 0, then the forward run (0 up to t_max)
-    when t_max > 0.  The rows hold the states ``integrate_geodesic`` steps:
+    Both halves of every geodesic are stepped in one ``solve_ode_batch``
+    run.  With n velocities, rows [0, n) are the backward runs (0 down to
+    t_min) when t_min < 0, followed by the n forward runs (0 up to t_max)
+    when t_max > 0.  Each row takes the steps and sample times of the
+    matching half of ``integrate_geodesic(field, point, velocities[r],
+    t_span, ...)``.  The rows hold the states ``integrate_geodesic`` steps:
     (x1, x2, v1, v2), or (x1, x2, p1, p2) with p = v/x1 for kind B, so
     columns 0:2 are chart points either way.
     """
     p = _check_ivp(field, point, (0.0, 0.0))[0]
     y0 = np.reshape([_state(field, p, _check_ivp(field, p, v)[1]) for v in velocities], (-1, 4))
     lo, hi = _normalize_span(t_span)
-    back_eval, fwd_eval = _sample_times(lo, hi, samples)
+    halves = [h for h in zip((lo, hi), _sample_times(lo, hi, samples)) if h[0] != 0.0]
+    t_eval = np.full((len(halves), max(len(times) for _, times in halves)), math.nan)
+    for row, (_, times) in zip(t_eval, halves):
+        row[:len(times)] = times
     rhs = _reduced_rhs_batch(field) if field.kind == KIND_B else geodesic_rhs_batch(field)
-    return [
-        solve_ode_batch(rhs, 0.0, y0, t_end, t_eval, rtol=rtol, atol=atol, max_steps=max_steps)
-        for t_end, t_eval in ((lo, back_eval), (hi, fwd_eval))
-        if t_end != 0.0
-    ]
+    return solve_ode_batch(
+        rhs, 0.0, np.tile(y0, (len(halves), 1)), np.repeat([t for t, _ in halves], len(y0)),
+        np.repeat(t_eval, len(y0), axis=0), rtol=rtol, atol=atol, max_steps=max_steps,
+    )
 
 
 @dataclass(frozen=True)

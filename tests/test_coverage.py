@@ -10,7 +10,9 @@ map against this wedge rule rather than against the implementation.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -200,7 +202,8 @@ class TestSweepMap:
 
         def fake(field, base, velocities, t_span, **kwargs):
             launched.extend(velocities)
-            return []
+            return SimpleNamespace(sample_ts=np.empty((0, 1)), n_samples=np.empty(0, dtype=int),
+                                   sample_ys=np.empty((0, 1, 4)))
 
         monkeypatch.setattr(coverage, "integrate_geodesics", fake)
         exp_coverage(
@@ -232,6 +235,27 @@ class TestSweepMap:
         with pytest.raises(DomainError):
             exp_coverage(field, (-1.0, 0.0), (0.0, 2.0, -2.0, 2.0), 8)
 
+
+
+# SHA-256 of the CSV of three numeric sweep maps shaped like the benchmark's
+# (96 angles, 40 cells), recorded while each map still ran its backward and
+# forward launches as two batched runs.  A change to the step loop that
+# moves any cell fails here.
+SWEEP_PINS = {
+    "S3": ((0.3, -0.1), (-2.5, 3.1, -4.3, 4.1), 4.0,
+           "7515b7103253abbb6b13b707836edead06add128372b8b997b9b93b297edf83a"),
+    "H2": ((1.0, 0.1), (0.05, 3.0, -1.9, 2.1), 40.0,
+           "3d0822b860a08c1a3676d013e059fd99d1a93503fbfd71d99db3732642a91d7a"),
+    "S3~": ((0.75, 0.1), (-2.25, 3.75, -3.9, 4.1), 10.0,
+            "5b40bc21fd57c99f2aeb9ffd5a3c217a81d935830eede7246804426796ed8ebc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PINS))
+def test_sweep_maps_keep_their_pinned_cells(name):
+    base, window, t_max, digest = SWEEP_PINS[name]
+    cover = exp_coverage(get_model(name).field, base, window, 40, angles=96, t_max=t_max)
+    assert hashlib.sha256(cover.to_csv().encode("ascii")).hexdigest() == digest
 
 def test_non_finite_inputs_are_rejected():
     window = (0.5, 2.0, -1.0, 1.0)

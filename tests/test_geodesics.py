@@ -187,11 +187,25 @@ def test_only_the_reduced_state_reads_a_blowup_at_the_edge_as_left_chart():
     # p = v/x1 blows up as a reduced kind-B run reaches x1 = 0; a chart-form
     # run, as jacobi steps, keeps the solver's "blowup" there
     fb = ChristoffelField.type_b((0, 0, 0, 0, 0, 0))
-    blowup = SimpleNamespace(status="blowup", ys=np.array([[1e-9, 0.0, -1e9, 0.0]]))
+    ys = np.array([[1.0, 0.0, -1.0, 0.0], [1e-9, 0.0, -1e9, 0.0]])
+    blowup = SimpleNamespace(status="blowup", ys=ys)
     assert _stepped_status(fb, blowup) == "left_chart"
     assert _status_of(fb, blowup) == "blowup"
-    stalled = SimpleNamespace(status="stalled", ys=blowup.ys)
+    stalled = SimpleNamespace(status="stalled", ys=ys)
     assert _stepped_status(fb, stalled) == _status_of(fb, stalled) == "left_chart"
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3, 1e5])
+def test_edge_status_follows_the_chart_scaling(s):
+    # (x, v) -> (s x, s v) maps kind-B geodesics to geodesics with the same
+    # parameter: the run into x1 = 0 at t = 1 and the L2 null ray out to
+    # x1 = infinity at t = 1 keep their statuses at every scale
+    edge = integrate_geodesic(ChristoffelField.type_b((0,) * 6), (s, 0.0), (-s, 0.0), (0.0, 5.0))
+    assert edge.status_forward == "left_chart"
+    assert edge.t_escape_forward == pytest.approx(1.0, abs=1e-6)
+    null = integrate_geodesic(get_model("L2").field, (s, 0.0), (s, s), (0.0, 5.0))
+    assert null.status_forward == "blowup"
+    assert null.t_escape_forward == pytest.approx(1.0, abs=1e-6)
 
 
 def test_sample_grid_and_window():

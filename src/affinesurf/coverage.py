@@ -11,8 +11,9 @@ failed numeric confirmation degrades to "unknown", never to "unreachable".
 
 For other models no closed forms are available, so a sweep of launch
 directions marks cells that sampled geodesic points land in, and
-everything else stays unknown.  One batched run steps both halves of
-every launch, and one pass marks all of its samples.
+everything else stays unknown.  The launch fan is closed under reversal of
+direction, so one batched run steps every launch forward only, and one pass
+marks all of its samples.
 """
 
 from __future__ import annotations
@@ -188,12 +189,16 @@ def _sweep_coverage(
     if angles < 1:
         raise ValueError(f"angles must be positive, got {angles}")
     grid = np.full((len(x_edges) - 1, len(y_edges) - 1), UNKNOWN, dtype=int)
-    thetas = (2.0 * math.pi * k / angles for k in range(angles))
+    # The backward half of launch th is the forward half of launch th + pi
+    # (geodesic reversal), so a fan closed under th -> th + pi is stepped
+    # forward only; for odd counts it holds every 2 pi k / angles bit for bit.
+    m = angles if angles % 2 == 0 else 2 * angles
+    thetas = (2.0 * math.pi * k / m for k in range(m))
     velocities = [(math.cos(th), math.sin(th)) for th in thetas]
     run = integrate_geodesics(
-        field, base, velocities, (-t_max, t_max), samples=401, rtol=1e-8, atol=1e-10
+        field, base, velocities, t_max, samples=201, rtol=1e-8, atol=1e-10
     )
-    filled = np.arange(run.sample_ts.shape[1]) < run.n_samples[:, np.newaxis]
+    filled = np.arange(run.sample_ts.size) < run.n_samples[:, np.newaxis]
     _mark_samples(grid, x_edges, y_edges, run.sample_ys[filled, 0:2])
     return grid
 
@@ -214,7 +219,9 @@ def exp_coverage(
     ``cells`` cells.  The Lorentz half-plane model gets the full three-valued
     per-centre verdict via its closed forms; any other field is swept
     numerically over ``angles`` directions to |t| = t_max and yields
-    reached/unknown only.
+    reached/unknown only.  The sweep steps the m directions 2 pi k / m
+    forward to t_max, with m = ``angles`` when it is even and 2 ``angles``
+    when it is odd; reversal makes them cover each launch for |t| <= t_max.
     """
     x_edges, y_edges = _window_edges(window, cells)
     base = (float(base[0]), float(base[1]))

@@ -283,36 +283,28 @@ def integrate_geodesics(
     field: ChristoffelField,
     point,
     velocities,
-    t_span,
+    t_max,
     *,
     samples: int = 201,
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_steps: int = 500_000,
 ) -> BatchResult:
-    """Integrate the geodesics from one point along each row of ``velocities``.
+    """Integrate the geodesics from one point along each row of ``velocities``
+    over [0, t_max], all in one ``solve_ode_batch`` run.
 
-    Both halves of every geodesic are stepped in one ``solve_ode_batch``
-    run.  With n velocities, rows [0, n) are the backward runs (0 down to
-    t_min) when t_min < 0, followed by the n forward runs (0 up to t_max)
-    when t_max > 0.  Each row takes the steps and sample times of the
-    matching half of ``integrate_geodesic(field, point, velocities[r],
-    t_span, ...)``.  The rows hold the states ``integrate_geodesic`` steps:
-    (x1, x2, v1, v2), or (x1, x2, p1, p2) with p = v/x1 for kind B, so
-    columns 0:2 are chart points either way.
+    Row r takes the steps and sample times of the forward run of
+    ``integrate_geodesic(field, point, velocities[r], t_max, ...)``.  The
+    rows hold the states ``integrate_geodesic`` steps: (x1, x2, v1, v2), or
+    (x1, x2, p1, p2) with p = v/x1 for kind B, so columns 0:2 are chart
+    points either way.
     """
     p = _check_ivp(field, point, (0.0, 0.0))[0]
     y0 = np.reshape([_state(field, p, _check_ivp(field, p, v)[1]) for v in velocities], (-1, 4))
-    lo, hi = _normalize_span(t_span)
-    halves = [h for h in zip((lo, hi), _sample_times(lo, hi, samples)) if h[0] != 0.0]
-    t_eval = np.full((len(halves), max(len(times) for _, times in halves)), math.nan)
-    for row, (_, times) in zip(t_eval, halves):
-        row[:len(times)] = times
+    _, hi = _normalize_span(float(t_max))
     rhs = _reduced_rhs_batch(field) if field.kind == KIND_B else geodesic_rhs_batch(field)
-    return solve_ode_batch(
-        rhs, 0.0, np.tile(y0, (len(halves), 1)), np.repeat([t for t, _ in halves], len(y0)),
-        np.repeat(t_eval, len(y0), axis=0), rtol=rtol, atol=atol, max_steps=max_steps,
-    )
+    return solve_ode_batch(rhs, 0.0, y0, hi, _sample_times(0.0, hi, samples)[1],
+                           rtol=rtol, atol=atol, max_steps=max_steps)
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,10 @@ collapsed steps), ``"stalled"`` (steps collapsed with bounded norm), or any
 string returned by the caller's guard.
 
 Two loops share this step policy.  ``solve_ode`` steps one initial value
-problem on Python floats; ``solve_ode_batch`` steps n of them as the rows of
-one (n, d) NumPy array.  Each row has its own step size, stop time, sample
-times and stop, and rows stepping forward and backward in t share one run:
-a geodesic sweep steps both halves of every launch together, so the loop's
-per-iteration cost, about 40 NumPy calls and six right-hand-side calls on
-some 100 rows, is paid once per map instead of once per half.  The tableau,
-the first-step heuristic, the error norm, the step factor, the
+problem on Python floats; ``solve_ode_batch`` steps n of them, with one stop
+time and one list of sample times, as the rows of one (n, d) NumPy array,
+each row with its own step size, samples and stop.  The tableau, the
+first-step heuristic, the error norm, the step factor, the
 blowup-vs-stalled diagnosis and the escape extrapolation are the helpers
 below.  Both loops do the same float operations in the same order, so a row
 gets the steps and the bits ``solve_ode`` gives it alone: stage sums start
@@ -93,16 +90,12 @@ def _weighted(pairs, k):
     return sum(w * k[j] for j, w in pairs)
 
 
-def _eval_times(t_eval, t0: float, t_end: np.ndarray) -> np.ndarray:
-    """Sample times of the runs from t0 to each of t_end (n,), as an (n, m)
-    array with NaN past a row's last time; ``t_eval`` is one sequence for
-    every run or such an array."""
-    times = np.atleast_2d(np.asarray([] if t_eval is None else t_eval, dtype=float))
-    times = np.broadcast_to(times, (t_end.size, times.shape[1]))
-    sign = np.where(t_end > t0, 1.0, -1.0)[:, np.newaxis]
-    if np.any(~np.isnan(times[:, 1:]) & ~(np.diff(times, axis=1) * sign > 0.0)):
-        raise IntegrationError("t_eval must be strictly monotone toward t_end")
-    if np.any(((times - t0) * sign < 0.0) | ((t_end[:, np.newaxis] - times) * sign < 0.0)):
+def _eval_times(t_eval, t0: float, t_end: float, direction: float) -> list[float]:
+    times = [] if t_eval is None else [float(t) for t in t_eval]
+    for a, b in zip(times, times[1:]):
+        if not (b - a) * direction > 0:  # a NaN fails too
+            raise IntegrationError("t_eval must be strictly monotone toward t_end")
+    if times and ((times[0] - t0) * direction < 0 or (t_end - times[-1]) * direction < 0):
         raise IntegrationError("t_eval must lie within [t0, t_end]")
     return times
 
@@ -172,10 +165,10 @@ class IntegrationResult:
 class BatchResult:
     """Samples and stop diagnosis of the rows of one ``solve_ode_batch`` run.
 
-    ``sample_ts`` (n, m) holds each row's requested sample times, NaN past
-    the last.  Row r was sampled at ``sample_ts[r, :n_samples[r]]``; its
-    samples are ``sample_ys[r, :n_samples[r]]`` and the rest of the row is
-    NaN.  The other per-row entries mean what the fields of the same name of
+    ``sample_ts`` (m,) holds the requested sample times, shared by every
+    row.  Row r was sampled at ``sample_ts[:n_samples[r]]``; its samples
+    are ``sample_ys[r, :n_samples[r]]`` and the rest of the row is NaN.  The
+    other per-row entries mean what the fields of the same name of
     ``IntegrationResult`` mean, with ``y_final`` the last accepted state.
     No step history is kept.
     """
@@ -229,7 +222,7 @@ def solve_ode(
         )
     direction = 1.0 if t_end > t0 else -1.0
     span = abs(t_end - t0)
-    eval_times = _eval_times(t_eval, t0, np.array([t_end]))[0].tolist()
+    eval_times = _eval_times(t_eval, t0, t_end, direction)
     d = y.shape[0]
     y = y.tolist()
     nfev = 0
@@ -406,7 +399,7 @@ def solve_ode_batch(
     f: Callable,
     t0: float,
     y0,
-    t_end,
+    t_end: float,
     t_eval,
     *,
     rtol: float = 1e-10,
@@ -415,45 +408,39 @@ def solve_ode_batch(
 ) -> BatchResult:
     """Integrate n systems y' = f(t, y), the rows of y0 (n, d), from t0 to t_end.
 
-    ``t_end`` is one stop for every row or one per row, on either side of
-    t0, so forward and backward rows share one run.  ``t_eval`` is one
-    sequence of sample times for every row, or an (n, m) array whose row r
-    holds row r's times followed by NaN.  Every row is stepped as
-    ``solve_ode`` steps it alone with its own stop and sample times: same
-    step sizes, samples, statuses and escape estimates.  ``f(t, y)``
-    receives the times (k,) and states (k, d) of the k rows still running
-    and returns their derivatives (k, d).  A row whose derivative holds a
-    non-finite entry, for instance one left NaN because its stage lies
-    outside the chart, has its step rejected alone, as a ``DomainError``
-    would in ``solve_ode``.  Every exception ``f`` raises propagates: it
-    cannot be pinned on one row.
+    Every row is stepped as ``solve_ode`` steps it alone with the same
+    arguments: same step sizes, samples at the ``t_eval`` times, statuses
+    and escape estimates.  ``f(t, y)`` receives the times (k,) and states
+    (k, d) of the k rows still running and returns their derivatives (k, d).
+    A row whose derivative holds a non-finite entry, for instance one left
+    NaN because its stage lies outside the chart, has its step rejected
+    alone, as a ``DomainError`` would in ``solve_ode``.  Every exception
+    ``f`` raises propagates: it cannot be pinned on one row.
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
         raise IntegrationError("batched states must have shape (n, d)")
     if not np.all(np.isfinite(y)):
         raise IntegrationError("initial state is not finite")
+    if t_end == t0:
+        raise IntegrationError("batched integration needs t_end != t0")
     n, d = y.shape
     t0 = float(t0)
-    t_end = np.broadcast_to(np.asarray(t_end, dtype=float), (n,))
-    if np.any(t_end == t0):
-        raise IntegrationError("batched integration needs t_end != t0")
-    direction = np.where(t_end > t0, 1.0, -1.0)
-    times = _eval_times(t_eval, t0, t_end)
-    # NaN past each row's last sample time: never hit
-    targets = np.concatenate((times, np.full((n, 1), math.nan)), axis=1)
+    direction = 1.0 if t_end > t0 else -1.0
+    span = abs(t_end - t0)
+    eval_times = _eval_times(t_eval, t0, t_end, direction)
+    targets = np.array(eval_times + [math.nan])  # NaN past the last: never hit
 
     k1 = _rows_rhs(f, np.full(n, t0), y)
     if not np.all(np.isfinite(k1)):
         raise IntegrationError("right-hand side is undefined at the initial state")
-    span = np.abs(t_end - t0)
-    h = [max(_first_step(y[r], k1[r], span[r], rtol, atol), _MIN_STEP) for r in range(n)]
-    at_t0 = targets[:, 0] == t0
+    h = [max(_first_step(y[r], k1[r], span, rtol, atol), _MIN_STEP) for r in range(n)]
+    at_t0 = int(eval_times[:1] == [t0])
 
-    sample_ys = np.full((n, times.shape[1], d), math.nan)
-    sample_ys[at_t0, :1] = y[at_t0, np.newaxis]
+    sample_ys = np.full((n, len(eval_times), d), math.nan)
+    sample_ys[:, :at_t0] = y[:, np.newaxis, :]
     res = BatchResult(
-        sample_ts=times.copy(),
+        sample_ts=np.array(eval_times),
         sample_ys=sample_ys,
         n_samples=np.zeros(n, dtype=int),
         y_final=np.empty((n, d)),
@@ -464,10 +451,11 @@ def solve_ode_batch(
         message=[""] * n,
     )
     s = _Rows(
-        row=np.arange(n), t=np.full(n, t0), y=y, k0=k1, h=np.array(h), idx=at_t0.astype(int),
-        nfev=np.ones(n, dtype=int), prev_h=np.full(n, math.nan),
-        last_h=np.full(n, math.nan), t_end=t_end, direction=direction,
+        row=np.arange(n), t=np.full(n, t0), y=y, k0=k1, h=np.array(h),
+        idx=np.full(n, at_t0), nfev=np.ones(n, dtype=int),
+        prev_h=np.full(n, math.nan), last_h=np.full(n, math.nan),
     )
+
     def stop(mask, verdict) -> None:
         """Record the rows in mask as stopped; verdict(i) names live row i's stop."""
         for i in np.flatnonzero(mask).tolist():
@@ -481,7 +469,7 @@ def solve_ode_batch(
             res.n_samples[r] = s.idx[i]
             if status != "reached":
                 res.t_escape[r] = _escape_time(
-                    t, float(s.direction[i]), float(s.prev_h[i]), float(s.last_h[i]))
+                    t, direction, float(s.prev_h[i]), float(s.last_h[i]))
 
     def collapsed(i):
         status, norm = _diagnose(s.y[i])
@@ -496,13 +484,13 @@ def solve_ode_batch(
             if not s.row.size:
                 break
             # the checks solve_ode makes before a step, in its order
-            remaining = s.t_end - s.t
-            reached = remaining * s.direction <= 0
+            remaining = t_end - s.t
+            reached = remaining * direction <= 0
             h_clip = np.minimum(s.h, np.abs(remaining))
-            to_eval = np.abs(targets[s.row, s.idx] - s.t)
+            to_eval = np.abs(targets[s.idx] - s.t)
             hit = to_eval <= h_clip * (1 + 1e-12)
             h_clip = np.where(hit, to_eval, h_clip)
-            h_signed = s.direction * h_clip
+            h_signed = direction * h_clip
             short = (h_clip < _MIN_STEP) & ~hit & (h_clip < np.abs(remaining))
             halt = reached | short | (s.t + h_signed == s.t)
             if halt.any():
@@ -552,7 +540,7 @@ def solve_ode_batch(
                 s.y = np.where(accept[:, np.newaxis], y5, s.y)
                 s.k0 = np.where(accept[:, np.newaxis], k[6], s.k0)
             sampled = accept & hit & (
-                np.abs(s.t - targets[s.row, s.idx]) <= 1e-12 * np.maximum(1.0, np.abs(s.t)))
+                np.abs(s.t - targets[s.idx]) <= 1e-12 * np.maximum(1.0, np.abs(s.t)))
             res.sample_ys[s.row[sampled], s.idx[sampled]] = s.y[sampled]
             s.idx = s.idx + sampled
 

@@ -241,6 +241,28 @@ class TestExpmap:
         assert code == 2
         assert "error" in err
 
+    def test_default_sweep_csv_is_pinned(self, capsys, tmp_path):
+        # SHA-256 of a numeric map at the default 256 angles and t_max 40
+        out_file = tmp_path / "cover.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "expmap", "--model", "H2", "--base", "1,0",
+            "--window", "0.05,4,-3,3", "--cells", "40", "--out", str(out_file),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "3ef8c396787dd80dcac8c3471cdbead20d1c055aea82827fedbb132105149a63")
+
+    @pytest.mark.parametrize("tmax", ["-1", "0", "nan"])
+    def test_bad_time_bound_exits_2(self, capsys, tmax):
+        code, out, err = run_cli(
+            capsys,
+            "expmap", "--model", "H2", "--base", "1,0",
+            "--window", "0.5,2,-1,1", "--cells", "4", f"--tmax={tmax}",
+        )
+        assert code == 2 and out == ""
+        assert "time bound must be positive and finite" in err
+
 
 class TestSpray:
     def test_pseudosphere_chart_verdict(self, capsys):

@@ -198,18 +198,29 @@ class TestSweepMap:
         assert cover.counts()["unreached"] == 0
 
     def test_sweep_launches_every_requested_angle(self, monkeypatch):
-        launched = []
+        # an odd count sweeps the doubled fan, so both maps are the same
+        field = get_model("H2").field
+        maps = [exp_coverage(field, (1.0, 0.1), (0.05, 3.0, -1.9, 2.1), 12, angles=a, t_max=8.0)
+                for a in (9, 18)]
+        assert np.array_equal(maps[0].grid, maps[1].grid)
+        calls = []
 
-        def fake(field, base, velocities, t_span, **kwargs):
-            launched.extend(velocities)
-            return SimpleNamespace(sample_ts=np.empty((0, 1)), n_samples=np.empty(0, dtype=int),
+        def fake(field, base, velocities, t_max, **kwargs):
+            calls.append((list(velocities), t_max))
+            return SimpleNamespace(sample_ts=np.empty(1), n_samples=np.empty(0, dtype=int),
                                    sample_ys=np.empty((0, 1, 4)))
 
         monkeypatch.setattr(coverage, "integrate_geodesics", fake)
-        exp_coverage(
-            get_model("S3").field, (0.0, 0.0), (-1.0, 1.0, -1.0, 1.0), 4, angles=512
-        )
-        assert len(launched) == 512
+        for angles in (512, 7):
+            exp_coverage(get_model("S3").field, (0.0, 0.0), (-1.0, 1.0, -1.0, 1.0), 4,
+                         angles=angles, t_max=3.0)
+        # an even count is a fan closed under v -> -v, stepped forward only
+        (even, t_even), (odd, t_odd) = calls
+        assert len(even) == 512 and t_even == t_odd == 3.0
+        # the doubled fan holds every requested direction with the same bits
+        assert len(odd) == 14
+        thetas = (2.0 * math.pi * k / 7 for k in range(7))
+        assert {(math.cos(th), math.sin(th)) for th in thetas} <= set(odd)
 
     @pytest.mark.parametrize("angles", [0, -1])
     def test_sweep_rejects_angles_below_one(self, monkeypatch, angles):

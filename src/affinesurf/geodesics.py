@@ -43,15 +43,16 @@ NOT_REQUESTED = "not_requested"
 def geodesic_rhs(field: ChristoffelField) -> Callable:
     """Right-hand side (v, -G(v, v)) of the first-order geodesic system.
 
-    Takes y as a float ndarray (4,) and returns a list of floats.  G(v, v)_k
-    is summed from 0.0 over (i, j) in order as (G[i, j, k] * v_i) * v_j,
-    which gives the bits of ``np.einsum("ijk,i,j->k", G, v, v)``.  A kind-A
-    table is read once, when f is built; other kinds evaluate G at each y.
+    Takes y as the list of four floats ``solve_ode`` steps (any sequence of
+    four floats serves) and returns a list of floats.  G(v, v)_k is summed
+    from 0.0 over (i, j) in order as (G[i, j, k] * v_i) * v_j, which gives
+    the bits of ``np.einsum("ijk,i,j->k", G, v, v)``.  A kind-A table is read
+    once, when f is built; other kinds evaluate G at each y.
     """
     table = christoffel_at(field, (0.0, 0.0)).tolist() if field.kind == KIND_A else None
 
     def f(t, y):
-        x1, x2, v1, v2 = y.tolist()
+        x1, x2, v1, v2 = y
         (g00, g01), (g10, g11) = table or christoffel_at(field, (x1, x2)).tolist()
         return [v1, v2] + [
             -(0.0 + a * v1 * v1 + b * v1 * v2 + c * v2 * v1 + e * v2 * v2)
@@ -86,7 +87,7 @@ def _reduced_rhs(field: ChristoffelField) -> Callable:
     (c00, c01), (c10, c11) = christoffel_at(field, (1.0, 0.0)).tolist()
 
     def f(t, y):
-        x1, x2, p1, p2 = y.tolist()
+        x1, x2, p1, p2 = y
         if not x1 > 0.0:
             raise DomainError("x1 <= 0 lies outside the chart of a kind-B field")
         return [p1 * x1, p2 * x1] + [

@@ -21,7 +21,9 @@ collapsed steps), ``"stalled"`` (steps collapsed with bounded norm), or any
 string returned by the caller's guard.
 
 Two loops share this step policy.  ``solve_ode`` steps one initial value
-problem on Python floats; ``solve_ode_batch`` steps n of them, with one stop
+problem on Python floats end to end: the time, the step size and every
+stage sum are floats, and f and the guard get the state as the list of d
+floats the loop holds.  ``solve_ode_batch`` steps n of them, with one stop
 time and one list of sample times, as the rows of one (n, d) NumPy array,
 each row with its own step size, samples and stop.  The tableau, the
 first-step heuristic, the error norm, the step factor, the
@@ -29,17 +31,18 @@ blowup-vs-stalled diagnosis and the escape extrapolation are the helpers
 below.  Both loops do the same float operations in the same order, so a row
 gets the steps and the bits ``solve_ode`` gives it alone: stage sums start
 from 0 and run in stage order, squares are e * e, and the squared error
-terms go through ``np.add.reduce``, which sums in eight lanes once d >= 8
-(Python's ``sum`` is avoided: from 3.12 it compensates float sums).  The
-batched step factor raises err_norm to -1/5 with ``float.__pow__`` on an
-object array: float ``np.power`` differs from Python's ``**`` in the last
-bit on about 5 % of inputs.  The single loop is not the n = 1 case of the
-batched one because NumPy's per-call overhead on a 4- to 16-element state
-costs more than its arithmetic.  On a 2-core x86-64 host an H2 or S5
-geodesic costs 8 to 13 us per right-hand-side evaluation through the float
-loop against 28 to 39 us with NumPy arrays, and a single geodesic through
-``solve_ode_batch`` takes over four times as long, while a 96-row sweep
-runs about twenty times faster batched than row by row.
+terms are summed as ``np.add.reduce`` sums them, left to right below eight
+terms and in eight lanes from eight (Python's ``sum`` is avoided: from 3.12
+it compensates float sums).  The batched step factor raises err_norm to
+-1/5 with ``float.__pow__`` on an object array: float ``np.power`` differs
+from Python's ``**`` in the last bit on about 5 % of inputs.  The single
+loop is not the n = 1 case of the batched one because NumPy's per-call
+overhead on a 4- to 16-element state costs more than its arithmetic.  On a
+2-core x86-64 host an H2 or S5 geodesic costs 3.5 to 6 us per
+right-hand-side evaluation through the float loop, and a single geodesic
+through ``solve_ode_batch`` takes seven to ten times as long (26 to 49 us
+per evaluation), while a 96-row H2 fan runs 2.5 to 3.5 times faster batched
+than row by row.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def _first_step(y, k1, span: float, rtol: float, atol: float) -> float:
     d0 = np.sqrt(np.mean((y / scale) ** 2))
     d1 = np.sqrt(np.mean((k1 / scale) ** 2))
     h = 0.01 * d0 / d1 if d1 > 1e-8 and d0 > 1e-8 else span * 1e-4
-    return min(h, span * 0.1)
+    return float(min(h, span * 0.1))
 
 
 def _error_norm(err, y, y5, rtol: float, atol: float):
@@ -114,6 +117,20 @@ def _error_norm(err, y, y5, rtol: float, atol: float):
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
     # np.mean in two ufunc calls: the same bits without its Python overhead
     return np.sqrt(np.add.reduce((err / scale) ** 2, axis=-1) / err.shape[-1])
+
+
+def _sum_of_squares(ratios: list[float]) -> float:
+    """Sum of r * r over a list, with the bits of ``np.add.reduce``.
+
+    Below eight terms ``np.add.reduce`` adds left to right, so a Python loop
+    gives its bits without the cost of the call; from eight it sums in lanes.
+    """
+    if len(ratios) >= 8:
+        return np.add.reduce([r * r for r in ratios])
+    total = 0.0
+    for r in ratios:
+        total += r * r
+    return total
 
 
 def _step_factor(err_norm: float) -> float:
@@ -204,16 +221,18 @@ def solve_ode(
 ) -> IntegrationResult:
     """Integrate y' = f(t, y) from t0 to t_end with adaptive steps.
 
-    ``f(t, y)`` gets the state as a float ndarray of shape (d,) and returns
-    its d derivatives as a list or an array-like; the module docstring says
-    which failures of f reject a step.  ``t_eval`` times are hit exactly by
-    clipping steps.  ``guard(t, y)`` runs after each accepted step and stops
+    ``f(t, y)`` gets the time as a float and the state as a list of d floats,
+    which it must not modify, and returns its d derivatives as a list or an
+    array-like; the module docstring says which failures of f reject a step.
+    ``t_eval`` times are hit exactly by clipping steps.  ``guard(t, y)`` runs
+    after each accepted step, on the same float and list, and stops
     integration by returning a status string.  Backward integration (t_end <
     t0) is supported; sample times must then be decreasing.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y)):
         raise IntegrationError("initial state is not finite")
+    t0, t_end = float(t0), float(t_end)
     if t_end == t0:
         return IntegrationResult(
             ts=np.array([t0]), ys=y[np.newaxis, :].copy(), sample_ts=np.array([t0]),
@@ -232,7 +251,7 @@ def solve_ode(
         nonlocal nfev
         nfev += 1
         try:
-            out = f(t, np.array(y))
+            out = f(t, y)
         except (DomainError, ArithmeticError):
             return None
         if type(out) is not list:
@@ -244,7 +263,7 @@ def solve_ode(
             return None
         return out if all(map(math.isfinite, out)) else None
 
-    t = float(t0)
+    t = t0
     k1 = rhs(t, y)
     if k1 is None:
         raise IntegrationError("right-hand side is undefined at the initial state")
@@ -336,10 +355,11 @@ def solve_ode(
                for p, r, s, u, w, z in zip(k1, k3, k4, k5, k6, k7)]
         try:
             ratios = [e / (atol + rtol * max(abs(a), abs(b))) for e, a, b in zip(err, y, y5)]
-            err_norm = math.sqrt(np.add.reduce([r * r for r in ratios]) / d)
         except ZeroDivisionError:
             # a zero error scale: IEEE division (inf or NaN) instead
             err_norm = float(_error_norm(np.array(err), y, y5, rtol, atol))
+        else:
+            err_norm = math.sqrt(_sum_of_squares(ratios) / d)
         if err_norm <= 1.0:
             prev_h, last_h = last_h, h_clip
             t = t + hs
@@ -352,7 +372,7 @@ def solve_ode(
                 sample_y.append(y)
                 eval_idx += 1
             if guard is not None:
-                verdict = guard(t, np.array(y))
+                verdict = guard(t, y)
                 if verdict:
                     status = verdict
                     message = f"guard stopped integration at t={t:.12g}"

@@ -125,6 +125,7 @@ def _chart_vectors(y: np.ndarray):
 
 def _jacobi_rhs(field: ChristoffelField):
     def f(t, y):
+        y = np.asarray(y, dtype=float)
         x = y[0:2]
         v = y[2:4]
         g = christoffel_at(field, x)
@@ -170,7 +171,7 @@ def _scalar_jacobi_rhs(field: ChristoffelField):
     geodesic = geodesic_rhs(field)
 
     def f(t, y):
-        x1, x2, v1, v2, a, adot = y.tolist()
+        x1, x2, v1, v2, a, adot = y
         return geodesic(t, y[:4]) + [adot, -_kappa(field, (x1, x2), (v1, v2)) * a]
 
     return f
@@ -220,7 +221,7 @@ def _reachable_cap(field, p, v, t_max, rtol, atol):
     status = _status_of(field, probe)
     if status == "complete":
         return t_max, "complete", None
-    t_stop = float(probe.t_final)
+    t_stop = probe.t_final
     margin = 2e-3 * max(1.0, abs(t_stop))
     cap = t_stop - math.copysign(margin, t_max)
     if t_max < 0.0:

@@ -291,6 +291,7 @@ def build_spray(model: str, sigma, xi0, s_range) -> SprayChart:
 
 def _transport_rhs(fld, sig_pt, sig_vel):
     def f(s, xi):
+        xi = np.asarray(xi, dtype=float)
         g = christoffel_at(fld, sig_pt(s))
         return -np.einsum("ijk,i,j->k", g, sig_vel(s), xi)
 

@@ -25,7 +25,7 @@ from affinesurf.geodesics import (
     integrate_geodesic,
     integrate_geodesics,
 )
-from affinesurf.integrate import solve_ode, solve_ode_batch
+from affinesurf.integrate import _sum_of_squares, solve_ode, solve_ode_batch
 from affinesurf.jacobi import _jacobi_rhs, _scalar_jacobi_rhs
 from affinesurf.sprays import _transport_rhs
 
@@ -81,7 +81,7 @@ def test_span_shorter_than_the_smallest_step_is_reached(span):
 
 def test_blowup_escape_time():
     # y' = y**2 from y(0) = 1 escapes at exactly t = 1
-    res = solve_ode(lambda t, y: y * y, 0.0, [1.0], 5.0)
+    res = solve_ode(lambda t, y: [a * a for a in y], 0.0, [1.0], 5.0)
     assert res.status == "blowup"
     assert res.t_final < 1.0
     assert abs(res.t_escape - 1.0) < 1e-7
@@ -146,6 +146,7 @@ def test_bad_sample_times_raise(t_end, t_eval, match):
 
 def test_rhs_programming_error_raises_instead_of_stalling():
     def f(t, y):
+        y = np.asarray(y)
         if t > 0.5:
             return -y + np.ones(3)  # broadcast bug: y has two entries
         return -y
@@ -174,6 +175,40 @@ def test_guard_status_passes_through():
     assert 2.0 < res.ys[-1][0] < 2.3
 
 
+def _square_blowup(spy):
+    # y' = y**2 from NumPy scalars and arrays, which the loop converts once
+    return solve_ode(spy("f", lambda t, y: [a * a for a in y]), np.float64(0.0),
+                     np.array([1.0, 0.5]), np.float64(5.0), t_eval=np.linspace(0.0, 0.9, 10),
+                     guard=spy("guard", lambda t, y: None))
+
+
+def _h2_guarded(spy):
+    return solve_ode(spy("f", geodesic_rhs(get_model("H2").field)), 0.0,
+                     [1.0, 0.0, -0.5, 0.5], 10.0,
+                     guard=spy("guard", lambda t, y: "left_chart" if y[0] <= 0.6 else None))
+
+
+@pytest.mark.parametrize("run", [_square_blowup, _h2_guarded], ids=["blowup", "H2-guard"])
+def test_f_and_guard_get_python_floats(run):
+    # the single loop runs on Python floats end to end: f and guard get a
+    # float time and the list of floats the loop holds, never NumPy scalars
+    seen = {"f": [], "guard": []}
+
+    def spy(kind, fn):
+        def recorded(t, y):
+            seen[kind].append((type(t), type(y), frozenset(map(type, y))))
+            return fn(t, y)
+        return recorded
+
+    res = run(spy)
+    assert len(seen["f"]) == res.nfev
+    assert len(seen["guard"]) == len(res.ts) - 1
+    assert set(seen["f"]) | set(seen["guard"]) == {(float, list, frozenset({float}))}
+    assert type(res.t_final) is float
+    if res.status == "blowup":
+        assert type(res.t_escape) is float
+
+
 def test_max_step_is_respected():
     res = solve_ode(lambda t, y: y, 0.0, [1.0], 1.0, max_step=0.01)
     steps = np.diff(res.ts)
@@ -183,6 +218,20 @@ def test_max_step_is_respected():
 def test_non_finite_initial_state_raises():
     with pytest.raises(IntegrationError):
         solve_ode(lambda t, y: y, 0.0, [math.nan], 1.0)
+
+
+def _signed_magnitudes():
+    return st.builds(lambda m, e, sign: sign * m * 10.0 ** e, st.floats(1.0, 10.0),
+                     st.integers(-160, 149), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratios=st.lists(st.just(0.0) | _signed_magnitudes(), min_size=1, max_size=7))
+def test_python_sum_of_squares_has_the_bits_of_np_add_reduce(ratios):
+    # solve_ode sums its squared error ratios in Python below eight terms;
+    # np.add.reduce adds left to right there, so a NumPy release that
+    # changes that order fails here
+    assert _sum_of_squares(ratios).hex() == float(np.add.reduce([r * r for r in ratios])).hex()
 
 
 # Batched runs against solo runs.  Each batched row must reproduce the run
@@ -465,7 +514,7 @@ FROZEN_CASES = {
     "exp-first-step": _toy(lambda t, y: y, [1.0, -2.0], 2.0, first_step=0.5),
     "oscillator": _toy(lambda t, y: np.array([y[1], -y[0]]), [1.0, 0.0], 2.0 * math.pi,
                        rtol=1e-12, atol=1e-14),
-    "square-blowup": _toy(lambda t, y: y * y, [1.0], 5.0),
+    "square-blowup": _toy(lambda t, y: [a * a for a in y], [1.0], 5.0),
     "overflow": _toy(lambda t, y: np.array([1e308]), [1.79e308], 1.0),
     "domain-error": _toy(_half_line, [1.0], 5.0),
     "nan-rhs": _toy(_sqrt_speed, [0.0], 10.0),

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affinesurf.catalog import get_model
@@ -132,16 +132,20 @@ def test_fit_reproduces_every_ivp_and_matches_integration():
     x=st.tuples(st.floats(0.3, 3.0), st.floats(-2.0, 2.0)),
     v=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
 )
+# subnormal launch speeds, whose squares underflow to 0
+@example(x=(2.9375, 0.0), v=(0.0, 2.236626474663235e-241))
+@example(x=(0.30078125, 0.0), v=(0.0, 2.88e-233))
 def test_numeric_geodesics_conserve_c_and_lambda(x, v):
     # c = v2/x1**2 and lam = (v2**2 - v1**2)/x1**2 hold on every sample,
     # escaping geodesics included, to well within the step tolerance,
-    # measured against the size |v|/x1**2 (|v|**2/x1**2) of the sample
+    # measured against the size |v|/x1**2 (|v|**2/x1**2) of the sample;
+    # hypot keeps |v| from underflowing where v1**2 + v2**2 would
     traj = integrate_geodesic(L2.field, x, v, (-1.5, 1.5), samples=31)
     c0, lam0 = conserved_quantities(x, v)
     x1, v1, v2 = traj.x[:, 0], traj.v[:, 0], traj.v[:, 1]
-    size = (v1 * v1 + v2 * v2) / (x1 * x1)
-    assert np.all(np.abs(v2 / (x1 * x1) - c0) <= 1e-8 * np.sqrt(size) / x1)
-    assert np.all(np.abs((v2 * v2 - v1 * v1) / (x1 * x1) - lam0) <= 1e-8 * size)
+    speed = np.hypot(v1, v2) / x1
+    assert np.all(np.abs(v2 / (x1 * x1) - c0) <= 1e-8 * speed / x1)
+    assert np.all(np.abs((v2 * v2 - v1 * v1) / (x1 * x1) - lam0) <= 1e-8 * speed * speed)
 
 
 @st.composite

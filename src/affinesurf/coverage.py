@@ -87,18 +87,14 @@ class CoverageMap:
             "unknown": int(np.sum(self.grid == UNKNOWN)),
         }
 
-    def to_csv(self, path=None) -> str | None:
-        """Rows run over the second coordinate from high to low (image
-        order); columns over the first coordinate from low to high.  With
-        no ``path`` the CSV text is returned instead."""
-        text = "".join(
+    def to_csv(self) -> str:
+        """The grid as CSV text.  Rows run over the second coordinate from
+        high to low (image order); columns over the first coordinate from
+        low to high."""
+        return "".join(
             ",".join(str(int(v)) for v in self.grid[:, j]) + "\n"
             for j in range(self.grid.shape[1] - 1, -1, -1)
         )
-        if path is None:
-            return text
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
 
 
 def _window_edges(window, cells: int):

@@ -6,11 +6,17 @@ kind-B table G = C/x1 is integrated instead in y = (x1, x2, p1, p2) with
 p = v/x1, which the chart's symmetries (x1, x2) -> (s x1, s x2 + t) fix:
 x1' = p1 x1, x2' = p2 x1, p' = -C(p, p) - p1 p.  This system is polynomial,
 so steps do not shrink as x1 decays, and a run into x1 = 0 shows as a
-blowup of p.  Trajectories hold chart values (v = x1 p); the raw
-``IntegrationResult``/``BatchResult`` rows of a kind-B run hold
-(x1, x2, p1, p2).  A trajectory that cannot be continued to the requested
-parameter bound is reported with a finite escape-time estimate;
-completeness probes are built on top of that diagnosis.
+blowup of p with p1 pointing back along the run.  Trajectories hold chart
+values (v = x1 p); the raw ``IntegrationResult``/``BatchResult`` rows of a
+kind-B run hold (x1, x2, p1, p2).
+
+Every single run (both halves of ``integrate_geodesic``, ``exp_map`` and the
+reach probe of ``jacobi``) goes through ``_run``, which picks the state,
+steps it and names the stop with one rule: ``"complete"``, ``"left_chart"``
+(a kind-B blowup into x1 = 0), or the solver's ``"blowup"`` or
+``"stalled"``.  A run that stops before the requested parameter bound
+carries a finite escape-time estimate; completeness probes are built on top
+of that diagnosis.
 """
 
 from __future__ import annotations
@@ -133,24 +139,23 @@ def _check_ivp(field: ChristoffelField, point, velocity):
     return p, v
 
 
-def _status_of(field: ChristoffelField, res: IntegrationResult) -> str:
-    """Status of a run in chart form (x1, x2, v1, v2).  A kind-B run is at
-    the x1 = 0 edge when x1 fell below 1e-6 of its launch value, a test the
-    chart's scaling x -> s x keeps."""
+def _run(field: ChristoffelField, p, v, t_end: float, **options):
+    """Step the geodesic from chart point p with velocity v to ``t_end``.
+
+    ``options`` go to ``solve_ode``.  Returns the ``IntegrationResult`` of
+    the state ``_state`` builds and the run's status: ``"complete"`` when it
+    reached ``t_end``, otherwise the solver's status, except that a kind-B
+    blowup with x1 falling along the run (direction * p1 < 0 at the stop)
+    has reached x1 = 0 and reads ``"left_chart"``.  The sign of p1 is a test
+    the chart's scaling x -> s x keeps.
+    """
+    rhs = _reduced_rhs(field) if field.kind == KIND_B else geodesic_rhs(field)
+    res = solve_ode(rhs, 0.0, _state(field, p, v), t_end, **options)
     if res.status == "reached":
-        return COMPLETE
-    if res.status == "stalled" and field.kind == KIND_B and res.ys[-1][0] < 1e-6 * res.ys[0][0]:
-        # steps collapsed against the x1 = 0 chart boundary
-        return "left_chart"
-    return res.status
-
-
-def _stepped_status(field: ChristoffelField, res: IntegrationResult) -> str:
-    """Status of a run of the state ``_state`` builds; a kind-B run into
-    x1 = 0 is a blowup of p = v/x1."""
-    if res.status == "blowup" and field.kind == KIND_B and res.ys[-1][0] < 1e-6 * res.ys[0][0]:
-        return "left_chart"
-    return _status_of(field, res)
+        return res, COMPLETE
+    if res.status == "blowup" and field.kind == KIND_B and t_end * res.ys[-1][2] < 0.0:
+        return res, "left_chart"
+    return res, res.status
 
 
 @dataclass
@@ -227,21 +232,11 @@ def integrate_geodesic(
     """
     p, v = _check_ivp(field, point, velocity)
     lo, hi = _normalize_span(t_span)
-    rhs = _reduced_rhs(field) if field.kind == KIND_B else geodesic_rhs(field)
-    y0 = _state(field, p, v)
     back_eval, fwd_eval = _sample_times(lo, hi, samples)
 
     def run(t_end, t_eval):
-        return solve_ode(
-            rhs,
-            0.0,
-            y0,
-            t_end,
-            rtol=rtol,
-            atol=atol,
-            t_eval=t_eval,
-            max_steps=max_steps,
-        )
+        return _run(field, p, v, t_end, t_eval=t_eval, rtol=rtol, atol=atol,
+                    max_steps=max_steps)
 
     status_f = status_b = NOT_REQUESTED
     esc_f = esc_b = None
@@ -250,14 +245,12 @@ def integrate_geodesic(
     parts_y: list[np.ndarray] = []
 
     if lo < 0.0:
-        res_b = run(lo, back_eval)
-        status_b = _stepped_status(field, res_b)
+        res_b, status_b = run(lo, back_eval)
         esc_b = res_b.t_escape
         parts_t.append(res_b.sample_ts[::-1])
         parts_y.append(res_b.sample_ys[::-1])
     if hi > 0.0:
-        res_f = run(hi, fwd_eval)
-        status_f = _stepped_status(field, res_f)
+        res_f, status_f = run(hi, fwd_eval)
         esc_f = res_f.t_escape
         start = 1 if parts_t and parts_t[-1].size and parts_t[-1][-1] == 0.0 else 0
         parts_t.append(res_f.sample_ts[start:])
@@ -316,45 +309,27 @@ class Incomplete:
     t_escape: float | None
 
 
-def exp_map(
-    field: ChristoffelField,
-    point,
-    velocity,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    max_steps: int = 500_000,
-) -> Point2 | Incomplete:
-    """Exponential map: follow the geodesic for unit parameter time.
+def exp_map(field: ChristoffelField, point, velocity) -> Point2 | Incomplete:
+    """Exponential map: follow the geodesic for unit parameter time, with
+    ``solve_ode``'s default tolerances and step budget.
 
     Returns the endpoint, or an Incomplete marker carrying the breakdown
-    diagnosis and escape-time estimate when the geodesic does not extend to
-    parameter 1.
+    diagnosis (``"blowup"``, ``"left_chart"`` or ``"stalled"``) and
+    escape-time estimate when the geodesic does not extend to parameter 1.
     """
     p, v = _check_ivp(field, point, velocity)
     if v == (0.0, 0.0):
         return Point2(p[0], p[1])
-    rhs = _reduced_rhs(field) if field.kind == KIND_B else geodesic_rhs(field)
-    res = solve_ode(
-        rhs, 0.0, _state(field, p, v), 1.0, rtol=rtol, atol=atol, max_steps=max_steps
-    )
-    status = _stepped_status(field, res)
+    res, status = _run(field, p, v, 1.0)
     if status == COMPLETE:
         yf = res.ys[-1]
         return Point2(float(yf[0]), float(yf[1]))
     return Incomplete(status=status, t_escape=res.t_escape)
 
 
-def write_trajectory_csv(traj: GeodesicTrajectory, path=None) -> str | None:
-    """Write samples as CSV with full float precision (17 significant digits).
-
-    With no ``path`` the CSV text is returned instead.
-    """
+def write_trajectory_csv(traj: GeodesicTrajectory) -> str:
+    """The samples as CSV text with full float precision (17 significant digits)."""
     lines = ["t,x1,x2,v1,v2"]
     for t, x, v in zip(traj.t, traj.x, traj.v):
         lines.append(",".join(f"{val:.17g}" for val in (t, x[0], x[1], v[0], v[1])))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        return text
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    return "\n".join(lines) + "\n"

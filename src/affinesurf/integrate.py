@@ -1,4 +1,4 @@
-"""Adaptive Runge-Kutta integration with chart guards and escape estimates.
+"""Adaptive Runge-Kutta integration with stop diagnosis and escape estimates.
 
 This is a hand-rolled Dormand-Prince 5(4) pair rather than a call into
 scipy.integrate.solve_ivp because the geodesic work needs three behaviours
@@ -17,13 +17,14 @@ that are awkward to get reliably from the library wrapper:
   merely stiff stretch.
 
 Statuses: ``"reached"`` (hit t_end), ``"blowup"`` (norm above the cap with
-collapsed steps), ``"stalled"`` (steps collapsed with bounded norm), or any
-string returned by the caller's guard.
+collapsed steps) or ``"stalled"`` (steps collapsed with bounded norm, or the
+step budget ran out).  Callers name what a stop means for their system;
+``geodesics._run`` does so for every single geodesic.
 
 Two loops share this step policy.  ``solve_ode`` steps one initial value
 problem on Python floats end to end: the time, the step size and every
-stage sum are floats, and f and the guard get the state as the list of d
-floats the loop holds.  ``solve_ode_batch`` steps n of them, with one stop
+stage sum are floats, and f gets the state as the list of d floats the
+loop holds.  ``solve_ode_batch`` steps n of them, with one stop
 time and one list of sample times, as the rows of one (n, d) NumPy array,
 each row with its own step size, samples and stop.  The tableau, the
 first-step heuristic, the error norm, the step factor, the
@@ -213,10 +214,7 @@ def solve_ode(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float = math.inf,
-    first_step: float | None = None,
     t_eval=None,
-    guard: Callable | None = None,
     max_steps: int = 500_000,
 ) -> IntegrationResult:
     """Integrate y' = f(t, y) from t0 to t_end with adaptive steps.
@@ -224,10 +222,11 @@ def solve_ode(
     ``f(t, y)`` gets the time as a float and the state as a list of d floats,
     which it must not modify, and returns its d derivatives as a list or an
     array-like; the module docstring says which failures of f reject a step.
-    ``t_eval`` times are hit exactly by clipping steps.  ``guard(t, y)`` runs
-    after each accepted step, on the same float and list, and stops
-    integration by returning a status string.  Backward integration (t_end <
-    t0) is supported; sample times must then be decreasing.
+    ``t_eval`` times are hit exactly by clipping steps.  The first step comes
+    from the sizes of y and y' (``_first_step``); ``max_steps`` bounds the
+    attempted steps, and a run that exhausts it stops ``"stalled"``.
+    Backward integration (t_end < t0) is supported; sample times must then
+    be decreasing.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y)):
@@ -268,11 +267,7 @@ def solve_ode(
     if k1 is None:
         raise IntegrationError("right-hand side is undefined at the initial state")
 
-    if first_step is None:
-        h = min(_first_step(y, k1, span, rtol, atol), max_step)
-    else:
-        h = min(abs(first_step), span, max_step)
-    h = max(h, _MIN_STEP)
+    h = max(_first_step(y, k1, span, rtol, atol), _MIN_STEP)
 
     knots_t = [t]
     knots_y = [y]
@@ -303,7 +298,6 @@ def solve_ode(
         if (t - t_end) * direction >= 0:
             break
         # clip to the next sample time and to t_end
-        h = min(h, max_step)
         remaining = abs(t_end - t)
         h_clip = min(h, remaining)
         hit_eval = False
@@ -371,12 +365,6 @@ def solve_ode(
                 sample_t.append(eval_times[eval_idx])
                 sample_y.append(y)
                 eval_idx += 1
-            if guard is not None:
-                verdict = guard(t, y)
-                if verdict:
-                    status = verdict
-                    message = f"guard stopped integration at t={t:.12g}"
-                    break
         h = h_clip * _step_factor(err_norm)
     else:
         status = "stalled"

@@ -44,7 +44,7 @@ import numpy as np
 from .curvature import curvature_at, is_locally_symmetric
 from .errors import FrameDegenerateError, IntegrationError, InvalidIVPError
 from .fields import KIND_ANALYTIC, ChristoffelField, christoffel_at
-from .geodesics import _check_ivp, _status_of, geodesic_rhs
+from .geodesics import _check_ivp, _run, geodesic_rhs
 from .integrate import solve_ode
 
 __all__ = ["JacobiSolution", "integrate_jacobi", "conjugate_points"]
@@ -206,19 +206,18 @@ def _validate_frame(frame) -> np.ndarray:
     return e
 
 
-def _reachable_cap(field, p, v, t_max, rtol, atol):
+def _reachable_cap(field, p, v, t_max):
     """Largest safe sweep end before the plain geodesic stops.
 
     A geodesic system augmented by Jacobi unknowns becomes hopelessly stiff
-    inside a finite-time escape, so the geodesic alone (4 equations) is run
-    first; if it stops before t_max the sweep end is pulled back by a small
-    relative margin.  Returns (cap, status, t_escape) where status is the
-    verdict to report when the cap is the binding constraint.
+    inside a finite-time escape, so the geodesic alone is run first, as
+    ``geodesics._run`` steps and diagnoses it; if it stops before t_max the
+    sweep end is pulled back by a small relative margin.  Returns (cap,
+    status, t_escape) where status is the verdict to report when the cap is
+    the binding constraint.
     """
     t_max = float(t_max)
-    probe = solve_ode(geodesic_rhs(field), 0.0, np.concatenate([p, v]), t_max,
-                      rtol=rtol, atol=atol)
-    status = _status_of(field, probe)
+    probe, status = _run(field, p, v, t_max)
     if status == "complete":
         return t_max, "complete", None
     t_stop = probe.t_final
@@ -241,24 +240,26 @@ def integrate_jacobi(
     *,
     frame=((1.0, 0.0), (0.0, 1.0)),
     samples: int = 201,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> JacobiSolution:
-    """Integrate one Jacobi field with frame coefficients (a0, adot0)."""
+    """Integrate one Jacobi field with frame coefficients (a0, adot0).
+
+    The run ends at the reachable cap of the plain geodesic (see
+    ``_reachable_cap``) and reports that geodesic's status and escape
+    estimate.  In the rare case where the 12-component run itself stops
+    before the cap, its own solver status and escape estimate are reported.
+    ``solve_ode``'s default tolerances serve both runs.
+    """
     p, v = _check_ivp(field, point, velocity)
     if not math.isfinite(t_max):
         raise InvalidIVPError("t_max must be finite")
     e = _validate_frame(frame)
     y0 = _pack_state(p, v, e, a0, adot0)
-    cap, cap_status, cap_escape = _reachable_cap(field, p, v, t_max, rtol, atol)
-    grid = np.linspace(0.0, cap, samples)
-    res = solve_ode(
-        _jacobi_rhs(field), 0.0, y0, cap, rtol=rtol, atol=atol, t_eval=grid
-    )
+    cap, cap_status, cap_escape = _reachable_cap(field, p, v, t_max)
+    res = solve_ode(_jacobi_rhs(field), 0.0, y0, cap, t_eval=np.linspace(0.0, cap, samples))
     if res.status == "reached":
         status, t_escape = cap_status, cap_escape
     else:
-        status, t_escape = _status_of(field, res), res.t_escape
+        status, t_escape = res.status, res.t_escape
     ys = res.sample_ys
     frames = np.empty((ys.shape[0], 2, 2))
     for i in range(ys.shape[0]):
@@ -275,7 +276,7 @@ def integrate_jacobi(
     )
 
 
-def _parallel_curvature_roots(field, p, v, t_max, rtol, atol) -> list[float]:
+def _parallel_curvature_roots(field, p, v, t_max) -> list[float]:
     """Conjugate points n pi / sqrt(kappa), kappa = rho(v, v), up to the
     reachable cap of the geodesic; none when kappa <= 0."""
     kappa = _kappa(field, p, v)
@@ -284,7 +285,7 @@ def _parallel_curvature_roots(field, p, v, t_max, rtol, atol) -> list[float]:
     period = math.pi / math.sqrt(kappa)
     if period > t_max:
         return []
-    cap, _, _ = _reachable_cap(field, p, v, t_max, rtol, atol)
+    cap, _, _ = _reachable_cap(field, p, v, t_max)
     return list(itertools.takewhile(lambda t: t <= cap, (n * period for n in itertools.count(1))))
 
 
@@ -295,8 +296,6 @@ def conjugate_points(
     t_max: float,
     *,
     scan_samples: int = 400,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> list[float]:
     """Parameter values in (0, t_max] conjugate to t = 0 along the geodesic.
 
@@ -315,7 +314,7 @@ def conjugate_points(
 
     On either path, if the geodesic itself stops before t_max (escape or
     chart exit), only roots up to a small relative margin before the stop
-    are returned.
+    are returned.  Every run uses ``solve_ode``'s default tolerances.
     """
     p, v = _check_ivp(field, point, velocity)
     if not math.isfinite(t_max):
@@ -323,13 +322,13 @@ def conjugate_points(
     if v == (0.0, 0.0):
         raise InvalidIVPError("conjugate points need a nonzero velocity")
     if field.kind != KIND_ANALYTIC and is_locally_symmetric(field):
-        return _parallel_curvature_roots(field, p, v, t_max, rtol, atol)
+        return _parallel_curvature_roots(field, p, v, t_max)
     rhs = _scalar_jacobi_rhs(field)
-    cap, _, _ = _reachable_cap(field, p, v, t_max, rtol, atol)
+    cap, _, _ = _reachable_cap(field, p, v, t_max)
     if cap <= 0.0:
         return []
     grid = np.linspace(0.0, cap, scan_samples)
-    res = solve_ode(rhs, 0.0, [*p, *v, 0.0, 1.0], cap, rtol=rtol, atol=atol, t_eval=grid)
+    res = solve_ode(rhs, 0.0, [*p, *v, 0.0, 1.0], cap, t_eval=grid)
     knots_t, knots_y = res.ts, res.ys
 
     def a_at(t: float) -> float:
@@ -338,7 +337,7 @@ def conjugate_points(
         t0, y0k = float(knots_t[idx]), knots_y[idx]
         if t0 == t:
             return float(y0k[4])
-        sub = solve_ode(rhs, t0, y0k, t, rtol=rtol, atol=atol)
+        sub = solve_ode(rhs, t0, y0k, t)
         if sub.status != "reached":
             raise IntegrationError(f"could not re-integrate to t={t} while refining a root")
         return float(sub.ys[-1][4])

@@ -284,7 +284,10 @@ def involution(p) -> Point2:
     """The half-plane involution (x1, x2) -> (x1, -x2)/((x1)^2 - (x2)^2).
 
     Defined on the wedge (x1)^2 > (x2)^2; it is an involutive connection
-    symmetry that reverses geodesic parametrizations.
+    symmetry.  It maps a geodesic sigma to the geodesic tau launched from
+    ``involution_pushforward(sigma(0), sigma'(0))`` with the same parameter,
+    involution(sigma(t)) = tau(t); the null line x2 = x1 - 1 through the
+    fixed point (1, 0) goes to itself, run the other way.
     """
     x1, x2 = float(p[0]), float(p[1])
     d = x1 * x1 - x2 * x2

@@ -139,12 +139,10 @@ class TestL2Map:
     def test_no_unknown_cells(self, cover):
         assert cover.counts()["unknown"] == 0
 
-    def test_value_at_and_csv(self, cover, tmp_path):
+    def test_value_at_and_csv(self, cover):
         assert cover.value_at(2.0, 0.0) == REACHED
         assert cover.value_at(0.5, 3.5) == UNREACHED
-        path = tmp_path / "cover.csv"
-        cover.to_csv(path)
-        lines = path.read_text().splitlines()
+        lines = cover.to_csv().splitlines()
         assert len(lines) == 40
         assert all(len(line.split(",")) == 40 for line in lines)
         top = [int(v) for v in lines[0].split(",")]  # row at x2 near +4
@@ -278,7 +276,7 @@ def test_non_finite_inputs_are_rejected():
 
 
 class TestCoverageMapContainer:
-    def test_roundtrip_orientation(self, tmp_path):
+    def test_roundtrip_orientation(self):
         grid = np.arange(6).reshape(3, 2) % 3
         cm = CoverageMap(
             base=(1.0, 0.0),
@@ -286,9 +284,7 @@ class TestCoverageMapContainer:
             y_edges=np.array([-1.0, 0.0, 1.0]),
             grid=grid,
         )
-        path = tmp_path / "grid.csv"
-        cm.to_csv(path)
-        lines = path.read_text().splitlines()
+        lines = cm.to_csv().splitlines()
         # top row is the high-x2 cells: grid[:, 1]
         assert lines[0] == ",".join(str(v) for v in grid[:, 1])
         assert lines[1] == ",".join(str(v) for v in grid[:, 0])

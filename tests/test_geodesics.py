@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
+import random
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from affinesurf.errors import InvalidIVPError
 from affinesurf.fields import ChristoffelField
 from affinesurf.geodesics import (
     Incomplete,
-    _status_of,
-    _stepped_status,
     exp_map,
     geodesic_rhs,
     integrate_geodesic,
@@ -183,16 +181,76 @@ def test_kind_b_straight_line_leaves_chart():
     assert abs(traj.t_escape_forward - 1.0) < 1e-3
 
 
-def test_only_the_reduced_state_reads_a_blowup_at_the_edge_as_left_chart():
-    # p = v/x1 blows up as a reduced kind-B run reaches x1 = 0; a chart-form
-    # run, as jacobi steps, keeps the solver's "blowup" there
-    fb = ChristoffelField.type_b((0, 0, 0, 0, 0, 0))
-    ys = np.array([[1.0, 0.0, -1.0, 0.0], [1e-9, 0.0, -1e9, 0.0]])
-    blowup = SimpleNamespace(status="blowup", ys=ys)
-    assert _stepped_status(fb, blowup) == "left_chart"
-    assert _status_of(fb, blowup) == "blowup"
-    stalled = SimpleNamespace(status="stalled", ys=ys)
-    assert _stepped_status(fb, stalled) == _status_of(fb, stalled) == "left_chart"
+# Gamma_11^1 = 1/x1: x1'' = -(x1')^2/x1, so (x1^2)'' = 0 and the launch
+# (s, 0), v = (-s, 0) gives x1 = s sqrt(1 - 2t), at x1 = 0 when t = 1/2
+SQRT_EDGE = ChristoffelField.type_b((1, 0, 0, 0, 0, 0))
+# Gamma_22^2 = -1/x1 from (1, 0) with v = (0, 1): p1 stays 0, x1 stays 1 and
+# x2 = -log(1 - t) escapes to infinity at t = 1 inside the chart
+LOG_ESCAPE = ChristoffelField.type_b((0, 0, 0, 0, 0, -1))
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e5])
+def test_a_blowup_into_the_edge_reads_left_chart_both_ways(s):
+    # x1 / s is still about 8.5e-6 at the numeric stop, so the status must
+    # not hang on the size of x1
+    traj = integrate_geodesic(SQRT_EDGE, (s, 0.0), (-s, 0.0), (-1.0, 1.0))
+    assert traj.status_forward == "left_chart"
+    assert traj.t_escape_forward == pytest.approx(0.5, abs=1e-6)
+    assert traj.status_backward == "complete"
+    # the reversed launch meets the edge at t = -1/2
+    back = integrate_geodesic(SQRT_EDGE, (s, 0.0), (s, 0.0), (-1.0, 1.0))
+    assert back.status_backward == "left_chart"
+    assert back.t_escape_backward == pytest.approx(-0.5, abs=1e-6)
+    assert back.status_forward == "complete"
+    ok = traj.t <= 0.45
+    np.testing.assert_allclose(traj.x[ok, 0], s * np.sqrt(1.0 - 2.0 * traj.t[ok]), rtol=1e-8)
+
+
+def test_exp_map_reads_a_run_into_the_edge_as_left_chart():
+    # x1 = sqrt(1 - 4t) from (1, 0) with v = (-2, 0)
+    miss = exp_map(SQRT_EDGE, (1.0, 0.0), (-2.0, 0.0))
+    assert isinstance(miss, Incomplete)
+    assert miss.status == "left_chart"
+    assert miss.t_escape == pytest.approx(0.25, abs=1e-6)
+
+
+def test_a_blowup_inside_the_chart_stays_a_blowup():
+    traj = integrate_geodesic(LOG_ESCAPE, (1.0, 0.0), (0.0, 1.0), (0.0, 5.0))
+    assert traj.status_forward == "blowup"
+    assert traj.t_escape_forward == pytest.approx(1.0, abs=1e-6)
+    ok = traj.t <= 0.9
+    np.testing.assert_allclose(traj.x[ok, 0], 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(traj.x[ok, 1], -np.log1p(-traj.t[ok]), rtol=1e-8)
+    # x2 = -log(1 - 2t) with v = (0, 2)
+    miss = exp_map(LOG_ESCAPE, (1.0, 0.0), (0.0, 2.0))
+    assert isinstance(miss, Incomplete)
+    assert miss.status == "blowup"
+    assert miss.t_escape == pytest.approx(0.5, abs=1e-6)
+
+
+def test_random_kind_b_stops_read_left_chart_exactly_when_x1_falls():
+    # Along a blowup p grows like 1/(T - t) on a ray of p' = -C(p, p) - p1 p,
+    # so x1 = x1(0) exp(int p1) goes like (T - t)^a: to 0 when p1 < 0 along
+    # the run, however slowly.  Several of these runs stop with x1 far above
+    # 0, so a test on the size of x1 would misread them.
+    rng = random.Random(3)
+    missed_by_size = 0
+    for _ in range(40):
+        c = tuple(str(round(rng.uniform(-3.0, 3.0), 3)) for _ in range(6))
+        v = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        field = ChristoffelField.type_b(c)
+        runs = [integrate_geodesic(field, (s, 0.0), (s * v[0], s * v[1]), (0.0, 5.0),
+                                   samples=2, rtol=1e-8, atol=1e-10)
+                for s in (1e-3, 1.0, 1e5)]
+        assert len({r.status_forward for r in runs}) == 1
+        res = runs[1].result_forward
+        x1 = res.ys[-4:, 0]
+        if runs[1].status_forward == "left_chart":
+            assert np.all(np.diff(x1) < 0.0) and x1[-1] < 1.0
+            missed_by_size += x1[-1] > 1e-6
+        elif runs[1].status_forward == "blowup":
+            assert np.all(np.diff(x1) >= 0.0)
+    assert missed_by_size >= 3
 
 
 @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3, 1e5])
@@ -254,17 +312,14 @@ def test_exp_map_s1_closed_form_and_incomplete():
     assert miss.status == "blowup"
 
 
-def test_trajectory_csv_round_trip(tmp_path):
+def test_trajectory_csv_round_trip():
     traj = integrate_geodesic(FLAT, (0.0, 0.0), (1.0, 2.0), 1.0, samples=5)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    lines = path.read_text().splitlines()
+    text = write_trajectory_csv(traj)
+    lines = text.splitlines()
     assert lines[0] == "t,x1,x2,v1,v2"
     assert len(lines) == 6
     got = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.allclose(got[:, 0], traj.t, atol=0.0)
     assert np.allclose(got[:, 1:3], traj.x, atol=0.0)
-    # writing twice gives identical bytes
-    path2 = tmp_path / "traj2.csv"
-    write_trajectory_csv(traj, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    # writing twice gives identical text
+    assert write_trajectory_csv(traj) == text

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from affinesurf import jacobi
+from affinesurf import geodesics, jacobi
 from affinesurf.catalog import get_model, parse_model_spec
 from affinesurf.classify import pushforward
 from affinesurf.curvature import curvature_at
@@ -399,9 +399,9 @@ def test_closed_form_path_probes_the_geodesic_only_when_a_root_is_due(monkeypatc
     probes = []
     reachable_cap = jacobi._reachable_cap
 
-    def counting(field, p, v, t_max, rtol, atol):
+    def counting(field, p, v, t_max):
         probes.append(t_max)
-        return reachable_cap(field, p, v, t_max, rtol, atol)
+        return reachable_cap(field, p, v, t_max)
 
     monkeypatch.setattr(jacobi, "_reachable_cap", counting)
     # spacelike, kappa = 1: the first root pi lies past t_max, so no probe
@@ -410,6 +410,32 @@ def test_closed_form_path_probes_the_geodesic_only_when_a_root_is_due(monkeypatc
     # t_max past pi: the probe runs, and the domain ends at pi / 2 first
     assert conjugate_points(L2.field, (1.0, 0.0), (0.0, 1.0), 4.0) == []
     assert probes == [4.0]
+
+
+@pytest.mark.parametrize("field, v, status, t_stop", [
+    # spacelike L2: x1 = 1/cos t runs out to infinity at pi / 2
+    (L2.field, (0.0, 1.0), "blowup", math.pi / 2),
+    # Gamma_11^1 = 1/x1: x1 = sqrt(1 - 4t) reaches the chart edge at 1/4
+    (ChristoffelField.type_b((1, 0, 0, 0, 0, 0)), (-2.0, 0.0), "left_chart", 0.25),
+], ids=["L2-blowup", "edge"])
+def test_kind_b_reach_probe_steps_the_reduced_state(monkeypatch, field, v, status, t_stop):
+    # the probe is the plain geodesic run of geodesics._run: for kind B the
+    # state (x1, x2, p1, p2) with p = v/x1, never the chart form
+    built = []
+
+    def spy(make):
+        def wrapped(f):
+            built.append(make.__name__)
+            return make(f)
+        return wrapped
+
+    monkeypatch.setattr(geodesics, "_reduced_rhs", spy(geodesics._reduced_rhs))
+    monkeypatch.setattr(geodesics, "geodesic_rhs", spy(geodesics.geodesic_rhs))
+    cap, got, t_escape = jacobi._reachable_cap(field, (1.0, 0.0), v, 4.0)
+    assert built == ["_reduced_rhs"]
+    assert got == status
+    assert t_escape == pytest.approx(t_stop, abs=1e-6)
+    assert cap == pytest.approx(t_stop - 2e-3 * max(1.0, t_stop), abs=1e-6)
 
 
 def test_closed_form_path_lists_every_root_up_to_the_cap(monkeypatch):

@@ -244,6 +244,26 @@ def test_involution_reverses_null_line_parameter():
         assert np.allclose(q, [1.0 / s, 1.0 / s - 1.0], atol=1e-13)
 
 
+@pytest.mark.parametrize("p, v, span", [
+    ((1.3, 0.2), (0.4, -0.7), 0.3),
+    ((0.84, 0.39), (-0.75, 0.41), 0.2),
+    ((0.63, -0.16), (1.0, -0.58), 0.2),
+])
+def test_involution_maps_numeric_geodesics_to_geodesics_with_the_same_parameter(p, v, span):
+    # metamorphic: iota(sigma(t)) = tau(t), both integrated, where tau starts
+    # from the pushforward of (sigma(0), sigma'(0)); the image is traversed
+    # the other way only from the negated pushed velocity
+    sigma = integrate_geodesic(L2.field, p, v, (-span, span), samples=61)
+    q, w = involution_pushforward(p, v)
+    tau = integrate_geodesic(L2.field, q, (w.xi1, w.xi2), (-span, span), samples=61)
+    back = integrate_geodesic(L2.field, q, (-w.xi1, -w.xi2), (-span, span), samples=61)
+    assert sigma.complete and tau.complete and back.complete
+    image = np.array([involution(x) for x in sigma.x])
+    np.testing.assert_allclose(image, tau.x, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(image, back.x[::-1], rtol=0.0, atol=1e-10)
+    assert np.max(np.abs(image - tau.x[::-1])) > 1e-2
+
+
 def test_involution_pushforward_sends_geodesics_to_geodesics():
     rng = random.Random(31415)
     for _ in range(20):

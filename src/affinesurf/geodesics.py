@@ -6,9 +6,9 @@ kind-B table G = C/x1 is integrated instead in y = (x1, x2, p1, p2) with
 p = v/x1, which the chart's symmetries (x1, x2) -> (s x1, s x2 + t) fix:
 x1' = p1 x1, x2' = p2 x1, p' = -C(p, p) - p1 p.  This system is polynomial,
 so steps do not shrink as x1 decays, and a run into x1 = 0 shows as a
-blowup of p with p1 pointing back along the run.  Trajectories hold chart
-values (v = x1 p); the raw ``IntegrationResult``/``BatchResult`` rows of a
-kind-B run hold (x1, x2, p1, p2).
+blowup of p driven by p1, which points back along the run.  Trajectories
+hold chart values (v = x1 p); the raw ``IntegrationResult``/``BatchResult``
+rows of a kind-B run hold (x1, x2, p1, p2).
 
 Every single run (both halves of ``integrate_geodesic``, ``exp_map`` and the
 reach probe of ``jacobi``) goes through ``_run``, which picks the state,
@@ -145,16 +145,26 @@ def _run(field: ChristoffelField, p, v, t_end: float, **options):
     ``options`` go to ``solve_ode``.  Returns the ``IntegrationResult`` of
     the state ``_state`` builds and the run's status: ``"complete"`` when it
     reached ``t_end``, otherwise the solver's status, except that a kind-B
-    blowup with x1 falling along the run (direction * p1 < 0 at the stop)
-    has reached x1 = 0 and reads ``"left_chart"``.  The sign of p1 is a test
-    the chart's scaling x -> s x keeps.
+    blowup driven by p1 has reached x1 = 0 and reads ``"left_chart"``.
+
+    A blowup of p runs along a ray p ~ d/|T - t|, so x1 = x1(0) exp(int p1)
+    goes like |T - t|^a with a = -direction * d1: to 0 however slowly when
+    a > 0, while a blowup of p2 alone (d1 = 0) leaves p1 bounded and x1 at a
+    positive limit, an escape inside the chart.  So the stop reads
+    ``"left_chart"`` when direction * p1 < 0 and |p1| is at least 1e-3 of
+    |p2|.  At the stop |p| is 1e9 to 1e12, so a bounded p1 is a far smaller
+    share, and along a ray with a smaller share (a below about 1e-3) x1
+    shrinks by under 3% on its way to the stop, as in such an escape.  Both
+    tests are on p, which the chart's scaling x -> s x keeps.
     """
     rhs = _reduced_rhs(field) if field.kind == KIND_B else geodesic_rhs(field)
     res = solve_ode(rhs, 0.0, _state(field, p, v), t_end, **options)
     if res.status == "reached":
         return res, COMPLETE
-    if res.status == "blowup" and field.kind == KIND_B and t_end * res.ys[-1][2] < 0.0:
-        return res, "left_chart"
+    if res.status == "blowup" and field.kind == KIND_B:
+        p1, p2 = res.ys[-1][2:]
+        if t_end * p1 < 0.0 and abs(p1) >= 1e-3 * abs(p2):
+            return res, "left_chart"
     return res, res.status
 
 

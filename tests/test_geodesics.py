@@ -228,29 +228,63 @@ def test_a_blowup_inside_the_chart_stays_a_blowup():
     assert miss.t_escape == pytest.approx(0.5, abs=1e-6)
 
 
-def test_random_kind_b_stops_read_left_chart_exactly_when_x1_falls():
-    # Along a blowup p grows like 1/(T - t) on a ray of p' = -C(p, p) - p1 p,
-    # so x1 = x1(0) exp(int p1) goes like (T - t)^a: to 0 when p1 < 0 along
-    # the run, however slowly.  Several of these runs stop with x1 far above
-    # 0, so a test on the size of x1 would misread them.
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e5])
+def test_a_blowup_of_p2_alone_stays_a_blowup_while_x1_falls(s):
+    # Gamma^1 = 0, so x1 = s (1 - 0.1 t) falls at every knot and p1 < 0, but
+    # x2' blows up first, at t = 10 (1 - e^-0.1), with x1 = s e^-0.1 inside
+    # the chart: p1 stays near -0.1 while p2 grows without bound
+    t_stop = 10.0 * -math.expm1(-0.1)
+    traj = integrate_geodesic(LOG_ESCAPE, (s, 0.0), (-0.1 * s, s), (0.0, 5.0))
+    assert traj.status_forward == "blowup"
+    assert traj.t_escape_forward == pytest.approx(t_stop, abs=1e-6)
+    assert traj.result_forward.ys[-1, 0] == pytest.approx(s * math.exp(-0.1), rel=1e-6)
+    miss = exp_map(LOG_ESCAPE, (s, 0.0), (-0.1 * s, s))
+    assert isinstance(miss, Incomplete)
+    assert miss.status == "blowup"
+    assert miss.t_escape == pytest.approx(t_stop, abs=1e-6)
+
+
+def _x1_power(res, lo, hi):
+    """Slope of log x1 against log |T - t| between the knots nearest
+    |T - t| = lo |T| and hi |T|, with T the run's escape time."""
+    gap = np.log(np.abs(res.t_escape - res.ts[:-1]) / abs(res.t_escape))
+    i, j = (int(np.argmin(np.abs(gap - math.log(g)))) for g in (lo, hi))
+    x1 = res.ys[:, 0]
+    return (math.log(x1[j]) - math.log(x1[i])) / (gap[j] - gap[i])
+
+
+def test_random_kind_b_stops_read_left_chart_exactly_when_x1_goes_to_zero():
+    # x1 goes to 0 at the stop exactly when log x1 falls linearly in
+    # log |T - t|, x1 ~ |T - t|^a with a > 0; a blowup inside the chart has
+    # a slope that dies away (x1 at a positive limit) or is negative.
+    # Several edge runs stop with x1 far above 0, so a test on the size of
+    # x1 would misread them; the two explicit launches of LOG_ESCAPE fall
+    # toward x1 = s e^-0.1 and s e^-5 and must stay blowups.
     rng = random.Random(3)
-    missed_by_size = 0
+    launches = [((0, 0, 0, 0, 0, -1), (-0.1, 1.0)), ((0, 0, 0, 0, 0, -1), (-5.0, 1.0))]
     for _ in range(40):
         c = tuple(str(round(rng.uniform(-3.0, 3.0), 3)) for _ in range(6))
-        v = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        launches.append((c, (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))))
+    statuses = []
+    missed_by_size = 0
+    for c, v in launches:
         field = ChristoffelField.type_b(c)
         runs = [integrate_geodesic(field, (s, 0.0), (s * v[0], s * v[1]), (0.0, 5.0),
                                    samples=2, rtol=1e-8, atol=1e-10)
                 for s in (1e-3, 1.0, 1e5)]
         assert len({r.status_forward for r in runs}) == 1
-        res = runs[1].result_forward
-        x1 = res.ys[-4:, 0]
-        if runs[1].status_forward == "left_chart":
-            assert np.all(np.diff(x1) < 0.0) and x1[-1] < 1.0
-            missed_by_size += x1[-1] > 1e-6
-        elif runs[1].status_forward == "blowup":
-            assert np.all(np.diff(x1) >= 0.0)
-    assert missed_by_size >= 3
+        status, res = runs[1].status_forward, runs[1].result_forward
+        statuses.append(status)
+        if status == "complete":
+            continue
+        early, late = _x1_power(res, 1e-3, 1e-6), _x1_power(res, 1e-6, 1e-9)
+        if status == "left_chart":
+            assert late > 1e-2 and abs(early - late) <= 0.1 * late
+            missed_by_size += res.ys[-1, 0] > 1e-6
+        else:
+            assert status == "blowup" and late < 1e-3
+    assert statuses[:2] == ["blowup", "blowup"]
+    assert missed_by_size >= 3 and "blowup" in statuses[2:]
 
 
 @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3, 1e5])

@@ -90,6 +90,7 @@ from .lorentz import (
     involution,
     involution_pushforward,
     l2_inner,
+    l2_log,
     l2_metric,
     orbit_residual,
 )

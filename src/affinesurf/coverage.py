@@ -1,13 +1,12 @@
 """Reachability maps for the exponential map over a rectangular window.
 
-Verdicts are per cell centre.  For the Lorentz half-plane the closed-form
-geodesic families make the image of exp_P effectively computable: the
-unique candidate orbit through base and centre is solved for exactly (a
-direction search with a perfect initializer), its causal component test
-decides reachability, and reachable verdicts are confirmed by evaluating
-the aimed geodesic at the hit parameter, which its closed form gives
-directly.  Unreachable verdicts come only from the exact orbit algebra; a
-failed numeric confirmation degrades to "unknown", never to "unreachable".
+Verdicts are per cell centre.  On the Lorentz half-plane the wedge
+decides: a centre (x1, x2) is reachable from the base (b1, b2) exactly when
+x1 > 0 and |x2 - b2| < b1 + x1.  A reachable centre gets one closed-form
+launch, the log map ``lorentz.l2_log``, and the closed-form geodesic with
+that launch is confirmed to land on the centre at t = 1.  Unreachable
+verdicts come only from the wedge; a failed confirmation degrades to
+"unknown", never to "unreachable".
 
 For other models no closed forms are available, so a sweep of launch
 directions marks cells that sampled geodesic points land in, and
@@ -24,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import get_model
-from .errors import DomainError
+from .errors import DomainError, ParamOutOfDomainError
 from .fields import ChristoffelField
 # The sweep runs integrate_geodesics; integrate_geodesic stays a module
 # attribute for tools that wrap it here, such as benchmarks/tracing.py.
 from .geodesics import integrate_geodesic, integrate_geodesics  # noqa: F401
-from .lorentz import fit_l2_geodesic
+from .lorentz import fit_l2_geodesic, l2_log
 
 # Wrapped by benchmarks/tracing.py; nothing here finds roots any more.
 brentq = None
@@ -116,57 +115,32 @@ def _mark_samples(grid, x_edges, y_edges, pts: np.ndarray) -> None:
 
 
 def l2_reach_verdict(base, target, *, tol: float = 1e-8) -> int:
-    """Settle one Lorentz half-plane target by orbit aiming.
+    """Settle one Lorentz half-plane target: the wedge decides, the log
+    launch is confirmed at t = 1.
 
-    The candidate orbit through base and target is unique; its causal type
-    and component test decide reachability exactly.  A reachable verdict
-    takes the hit parameter from the aimed geodesic's closed-form inverse
-    (``t_at_x2``) and is confirmed by evaluating the geodesic there.
+    The target is reachable exactly when x1 > 0 and |x2 - b2| < b1 + x1.
+    A reachable target is REACHED when the closed-form geodesic launched
+    with ``l2_log(base, target)`` is defined at t = 1 and lands within
+    ``tol`` of it, and UNKNOWN otherwise.
     """
     b1, b2 = float(base[0]), float(base[1])
     a, b = float(target[0]), float(target[1])
     if b1 <= 0.0:
         raise DomainError("base point must have x1 > 0")
-    if a <= 0.0:
+    if not (a > 0.0 and abs(b - b2) < a + b1):
         return UNREACHED
-    if a == b1 and b == b2:
-        return REACHED
-
-    if b == b2:
-        # the vertical geodesic through base covers the whole ray x2 = b2
-        sgn = 1.0 if a > b1 else -1.0
-        geo = fit_l2_geodesic((b1, b2), (sgn, 0.0))
-        t_star = b1 * math.log(a / b1) * sgn
-        return REACHED if _confirm(geo, t_star, a, b, tol) else UNKNOWN
-
-    beta = (a * a + b2 * b2 - b1 * b1 - b * b) / (2.0 * (b - b2))
-    mu = b1 * b1 - (b2 + beta) ** 2
-    scale = max(1.0, a * a, b1 * b1, beta * beta)
-    sgn = 1.0 if b > b2 else -1.0
-    vel = (sgn * (b2 + beta), sgn * b1)
-
-    if abs(mu) <= 1e-12 * scale:
-        # null line pair x1 = |x2 + beta|: same line means same sign
-        if (b + beta) * (b2 + beta) <= 0.0:
-            return UNREACHED
-    elif mu < 0.0:
-        # timelike orbit: the geodesic covers one hyperbola component
-        if (b + beta) * (b2 + beta) <= 0.0:
-            return UNREACHED
-    # spacelike (mu > 0): the full connected branch is covered
-
-    geo = fit_l2_geodesic((b1, b2), vel)
-    t_star = geo.t_at_x2(b)
-    if t_star is None:
-        return UNKNOWN
-    return REACHED if _confirm(geo, t_star, a, b, tol) else UNKNOWN
-
-
-def _confirm(geo, t_star: float, a: float, b: float, tol: float) -> bool:
-    if not (geo.t_min < t_star < geo.t_max):
-        return False
-    x1, x2 = geo._point(t_star)
-    return math.hypot(x1 - a, x2 - b) <= tol
+    v = l2_log((b1, b2), (a, b))
+    try:
+        geo = fit_l2_geodesic((b1, b2), v)
+        if geo.t_max > 1.0:
+            x1, x2 = geo._point(1.0)
+            return REACHED if math.hypot(x1 - a, x2 - b) <= tol else UNKNOWN
+    except (ArithmeticError, ParamOutOfDomainError):
+        # launches the fit's (C, beta) form cannot carry: nearly vertical
+        # ones, where beta ~ v1/v2 loses the target's digits or overflows,
+        # and ones so slow that v1**2 - v2**2 underflows
+        pass
+    return UNKNOWN
 
 
 def _l2_coverage(base, x_edges, y_edges, *, tol: float) -> np.ndarray:

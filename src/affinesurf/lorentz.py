@@ -23,8 +23,11 @@ Every geodesic belongs to one of four closed-form families:
   rescaling of t, escaping in BOTH directions with total affine length
   pi/omega (pi when lam = 1).
 
-x2 is strictly monotone along the last three families, and
-``ClosedFormGeodesic.t_at_x2`` inverts it in closed form.
+``l2_log`` inverts the exponential map: the half plane is the slice
+B - T > 0 of the pseudosphere through E(x1, x2) = (x2/x1, (1 + x1**2 -
+x2**2)/(2 x1), (x1**2 - x2**2 - 1)/(2 x1)), and <E(p), E(q)> =
+(p1**2 + q1**2 - (p2 - q2)**2)/(2 p1 q1), so q = exp_p(v) with v =
+``l2_log(p, q)`` exactly when q lies in the wedge |q2 - p2| < p1 + q1.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "conserved_quantities",
     "ClosedFormGeodesic",
     "fit_l2_geodesic",
+    "l2_log",
     "orbit_residual",
     "hyperbola_residual",
     "involution",
@@ -92,8 +96,7 @@ class ClosedFormGeodesic:
     ``t_min``/``t_max`` bound the maximal affine domain (infinite where the
     geodesic is complete); finite bounds are escape times at which x1 blows
     up.  ``family`` is "point", "vertical", "null", "timelike" or
-    "spacelike".  ``t_at_x2(b)`` inverts x2(t) = b in closed form on the
-    last three families.
+    "spacelike".
     """
 
     family: str
@@ -104,7 +107,6 @@ class ClosedFormGeodesic:
     _point: Callable[[float], tuple[float, float]]
     _velocity: Callable[[float], tuple[float, float]]
     beta: float | None = None
-    _t_at_x2: Callable[[float], float | None] | None = None
 
     def point(self, t: float) -> Point2:
         self._require(t)
@@ -115,13 +117,6 @@ class ClosedFormGeodesic:
         self._require(t)
         v1, v2 = self._velocity(float(t))
         return TangentVector2(v1, v2)
-
-    def t_at_x2(self, b: float) -> float | None:
-        """The t in (t_min, t_max) with x2(t) = b, or None if there is none."""
-        if self._t_at_x2 is None:
-            raise DegenerateFitError(f"{self.family} geodesic: x2 is constant")
-        t = self._t_at_x2(float(b))
-        return t if t is not None and self.t_min < t < self.t_max else None
 
     def _require(self, t: float) -> None:
         if not (self.t_min < t < self.t_max):
@@ -170,7 +165,6 @@ def fit_l2_geodesic(point, velocity) -> ClosedFormGeodesic:
             _point=lambda t: (k / (t + s0), sgn * k / (t + s0) + alpha),
             _velocity=lambda t: (-k / (t + s0) ** 2, -sgn * k / (t + s0) ** 2),
             beta=-alpha,
-            _t_at_x2=lambda b: None if b == alpha else sgn * k / (b - alpha) - s0,
         )
 
     omega = math.sqrt(abs(lam))
@@ -186,13 +180,6 @@ def fit_l2_geodesic(point, velocity) -> ClosedFormGeodesic:
         eps = -1.0 if v1 > 0.0 else 1.0
         big_s = -1.0 if c * eps > 0.0 else 1.0
         t_min, t_max = ((-u0 / omega, inf) if eps > 0 else (-inf, u0 / omega))
-
-        def t_at(x, e=eps, w=omega, u_0=u0, C=big_c, S=big_s, b=beta):
-            # tanh(u) = S/(C*(x2 + beta)) lies in (0, 1): the orbit never
-            # reaches its asymptote x2 = S/C - beta or the far side of it
-            den = C * (x + b)
-            r = S / den if den else 0.0
-            return (math.atanh(r) - u_0) / (e * w) if 0.0 < r < 1.0 else None
     else:
         # spacelike: u = eps*omega*t + u0 in (0, pi) with sin(u0) = 1/(C*x1)
         # and cot(u0) = S*C*(x2 + beta); c = -eps*omega*S*C pins S.  As
@@ -216,9 +203,6 @@ def fit_l2_geodesic(point, velocity) -> ClosedFormGeodesic:
         if eps < 0.0:
             t_min, t_max = -t_max, -t_min
 
-        def t_at(x, e=eps, w=omega, u_0=u0, C=big_c, S=big_s, b=beta):
-            return (math.atan2(1.0, S * C * (x + b)) - u_0) / (e * w)
-
     # sin, cos and tan are hyperbolic on a timelike orbit
     def pt(t, e=eps, w=omega, u_0=u0, C=big_c, S=big_s, b=beta):
         u = e * w * t + u_0
@@ -232,11 +216,44 @@ def fit_l2_geodesic(point, velocity) -> ClosedFormGeodesic:
     geo = ClosedFormGeodesic(
         family="timelike" if lam < 0.0 else "spacelike", c=c, lam=lam,
         t_min=t_min, t_max=t_max, _point=pt, _velocity=vel, beta=beta,
-        _t_at_x2=t_at,
     )
 
     _check_fit(geo, (x1, x2), (v1, v2))
     return geo
+
+
+def l2_log(base, target) -> tuple[float, float]:
+    """The launch v with exp_base(v) = target at t = 1, for a target in the
+    wedge |target2 - base2| < base1 + target1.
+
+    On the pseudosphere v is theta/sin(theta) (E(q) - c E(p)) with c =
+    <E(p), E(q)> and theta = arccos(c) (arccosh(c) when c > 1).  In the
+    chart, c - 1 = -m/(2 a b1) and c + 1 = p/(2 a b1) with the factored
+    m and p below, which keep their digits where c is near 1 or -1; a
+    target on the base's vertical line gets v2 = 0 exactly.  The
+    coordinates are squared, so they must stay below about 1e154.
+    """
+    b1, b2 = float(base[0]), float(base[1])
+    a, b = float(target[0]), float(target[1])
+    d1, d2 = a - b1, b - b2
+    m = (abs(d2) - abs(d1)) * (abs(d2) + abs(d1))  # > 0 spacelike, < 0 timelike
+    p = (a + b1 - abs(d2)) * (a + b1 + abs(d2))  # > 0 inside the wedge
+    if not (b1 > 0.0 and a > 0.0 and p > 0.0):
+        raise DomainError("l2_log needs x1 > 0 and |q2 - p2| < p1 + q1")
+    if m > 0.0:
+        k = 2.0 * math.atan2(math.sqrt(m), math.sqrt(p)) * b1 / math.sqrt(m * p)
+    elif m < 0.0:
+        # theta = 2 atanh(sqrt(-m/p)), written with p + m = 4 a b1 so that a
+        # target with x1 far from b1 (atanh near 1) keeps its digits; past a
+        # ratio of 1e308 the log1p argument overflows and is taken apart
+        r, s = math.sqrt(-m), math.sqrt(p)
+        q = r / a * ((s + r) / (2.0 * b1))
+        theta = math.log1p(q) if q < math.inf else (
+            math.log(r) - math.log(a) + math.log(s + r) - math.log(2.0 * b1))
+        k = theta * b1 / math.sqrt(-m * p)
+    else:
+        k = 0.5 / a  # null: theta/sin(theta) -> 1
+    return k * ((a + b1) * d1 - d2 * d2), k * (2.0 * b1 * d2)
 
 
 def _check_fit(geo: ClosedFormGeodesic, p, v) -> None:

@@ -14,7 +14,6 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from affinesurf import cli
 from affinesurf.catalog import get_model, parse_model_spec
@@ -31,7 +30,6 @@ from affinesurf.curvature import (
     ricci_at,
     ricci_table,
 )
-from affinesurf.fields import ChristoffelField
 from affinesurf.geodesics import integrate_geodesic
 from affinesurf.jacobi import conjugate_points, integrate_jacobi
 from affinesurf.lorentz import fit_l2_geodesic, hyperbola_residual

@@ -20,7 +20,6 @@ from affinesurf.classify import (
     scale_transform,
     shear_transform,
 )
-from affinesurf.errors import ClassificationInconclusiveError
 
 F = Fraction
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)

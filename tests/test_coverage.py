@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affinesurf import coverage
@@ -74,12 +76,65 @@ class TestVerdictOracle:
         assert not wedge_reachable((1.0, 0.0), (2.0, -3.0))
         assert l2_reach_verdict((1.0, 0.0), (2.0, -3.0)) == UNREACHED
 
+    def test_near_vertical_target_far_from_the_base_is_reached(self):
+        # 6.3e-5 above the base's x2: an aim along the orbit constant
+        # beta ~ 1e4 missed this target by more than 1e-8
+        assert l2_reach_verdict((1.547, -0.132), (2.0, -0.131937)) == REACHED
+
+    def test_near_vertical_targets_are_confirmed(self):
+        rng = random.Random(1930)
+        base = (1.547, -0.132)
+        verdicts = Counter()
+        for _ in range(4000):
+            dx2 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -2.0)
+            verdicts[l2_reach_verdict(base, (rng.uniform(0.05, 6.5), base[1] + dx2))] += 1
+        assert verdicts[UNREACHED] == 0 and verdicts[UNKNOWN] <= 5
+
+    def test_near_null_targets_are_confirmed(self):
+        # |x2 - b2| = |x1 - b1| (1 +- 1e-9): c = <E(p), E(q)> is within
+        # about 1e-9 of 1, where 1 - c**2 must come from the factored m and p
+        rng = random.Random(964)
+        for _ in range(2000):
+            base = (rng.uniform(0.05, 4.0), rng.uniform(-4.0, 4.0))
+            d1 = rng.uniform(-0.99 * base[0], 5.0)
+            d2 = rng.choice([-1.0, 1.0]) * abs(d1) * (1.0 + rng.choice([-1e-9, 1e-9]))
+            target = (base[0] + d1, base[1] + d2)
+            assert l2_reach_verdict(base, target) == REACHED, (base, target)
+
+    def test_targets_at_the_wedge_edge_are_never_unreached(self):
+        # within 6e-5 of the edge the launch escapes just after t = 1, so
+        # the confirmation may fail; the verdict then is UNKNOWN
+        rng = random.Random(91)
+        for _ in range(2000):
+            base = (rng.uniform(0.05, 4.0), rng.uniform(-4.0, 4.0))
+            a = rng.uniform(0.05, 5.0)
+            d2 = (a + base[0]) * (1.0 - rng.uniform(0.0, 6e-5))
+            target = (a, base[1] + rng.choice([-1.0, 1.0]) * d2)
+            assert wedge_reachable(base, target)
+            assert l2_reach_verdict(base, target) != UNREACHED, (base, target)
+
     def test_nonpositive_x1_unreached(self):
         assert l2_reach_verdict((1.0, 0.0), (-0.5, 0.3)) == UNREACHED
 
     def test_bad_base_raises(self):
         with pytest.raises(DomainError):
             l2_reach_verdict((0.0, 0.0), (1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.tuples(st.floats(0.01, 10.0), st.floats(-10.0, 10.0)),
+    target=st.tuples(st.floats(-1.0, 10.0), st.floats(-20.0, 20.0)),
+)
+# launches the closed-form fit cannot carry (v1**2 - v2**2 underflows; a
+# nearly vertical orbit with beta ~ 1e170 overflows) and targets whose
+# x1 is 1e308 times smaller than the base's
+@example(base=(1.0, 0.0), target=(1.0, 3.384437812916436e-173))
+@example(base=(1.0, 3.384437812916436e-173), target=(3.731202708851291e-274, 0.0))
+@example(base=(0.25, 0.0), target=(5e-324, 0.0))
+@example(base=(10.0, 0.0), target=(5e-324, 0.0))
+def test_unreached_exactly_outside_the_wedge(base, target):
+    assert (l2_reach_verdict(base, target) == UNREACHED) == (not wedge_reachable(base, target))
 
 
 def _grid64(lo: int, hi: int):

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affinesurf.catalog import get_model
@@ -21,9 +21,11 @@ from affinesurf.lorentz import (
     involution,
     involution_pushforward,
     l2_inner,
+    l2_log,
     l2_metric,
     orbit_residual,
 )
+from affinesurf.pseudosphere import minkowski_inner, pseudosphere_geodesic
 
 L2 = get_model("L2")
 
@@ -112,6 +114,74 @@ def test_spacelike_fit_where_an_arcsin_branch_loses_digits():
         assert np.allclose(geo.velocity(0.0), v, rtol=0.0, atol=1e-14)
 
 
+def _embed(x):
+    """E: the half plane onto the slice B - T = 1/x1 > 0 of the pseudosphere."""
+    x1, x2 = x
+    return np.array([x2 / x1, (1.0 + x1 * x1 - x2 * x2) / (2.0 * x1),
+                     (x1 * x1 - x2 * x2 - 1.0) / (2.0 * x1)])
+
+
+def _push(x, v):
+    """dE(x) v, the chart velocity as an ambient tangent vector."""
+    x1, x2 = x
+    jac = np.array([[-x2 / x1**2, 1.0 / x1],
+                    [0.5 + (x2 * x2 - 1.0) / (2.0 * x1**2), -x2 / x1],
+                    [0.5 + (x2 * x2 + 1.0) / (2.0 * x1**2), -x2 / x1]])
+    return jac @ np.asarray(v, dtype=float)
+
+
+def test_embedding_pairs_points_by_the_wedge_formula():
+    p, q = (1.3, -0.4), (0.6, 1.1)
+    assert abs(minkowski_inner(_embed(p), _embed(p)) - 1.0) < 1e-15
+    want = (p[0] ** 2 + q[0] ** 2 - (p[1] - q[1]) ** 2) / (2.0 * p[0] * q[0])
+    assert abs(minkowski_inner(_embed(p), _embed(q)) - want) < 1e-15
+
+
+_chart = st.tuples(st.floats(0.25, 4.0), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=_chart, target=_chart)
+def test_log_launch_hits_the_target_on_the_pseudosphere(base, target):
+    # independent oracle: the ambient geodesic from E(base) with velocity
+    # dE(v) reaches E(target) at t = 1; stay 1e-6 inside the wedge, where
+    # sin(theta) -> 0 makes |v| blow up
+    gap = base[0] + target[0] - abs(target[1] - base[1])
+    assume(gap > 1e-6 * (base[0] + target[0]))
+    v = l2_log(base, target)
+    geo = pseudosphere_geodesic(_embed(base), _push(base, v), tol=1e-9)
+    want = _embed(target)
+    assert np.max(np.abs(geo.point(1.0) - want)) <= 1e-9 * (1.0 + np.max(np.abs(want)))
+
+
+def test_log_launch_on_the_vertical_line_has_no_sideways_part():
+    # a rounded v2 != 0 would turn the vertical launch into a hyperbola
+    # whose fit cannot reproduce it
+    rng = random.Random(2718)
+    for _ in range(500):
+        b1, b2 = rng.uniform(0.05, 4.0), rng.uniform(-4.0, 4.0)
+        a = rng.uniform(0.01, 8.0)
+        v = l2_log((b1, b2), (a, b2))
+        assert v[1] == 0.0 and abs(v[0] - b1 * math.log(a / b1)) <= 1e-14 * (1.0 + abs(v[0]))
+        geo = fit_l2_geodesic((b1, b2), v)
+        assert geo.family in ("vertical", "point")
+        assert abs(geo.point(1.0).x1 - a) <= 1e-12 * a and geo.point(1.0).x2 == b2
+    # x1 from 1e-16 to 1e-308 of the base's, where atanh(r) has r = 1.0
+    for b1, a in ((1.0, 1e-17), (0.25, 5e-324), (10.0, 5e-324)):
+        v = l2_log((b1, 0.0), (a, 0.0))
+        want = b1 * (math.log(a) - math.log(b1))
+        assert v[1] == 0.0 and abs(v[0] - want) <= 1e-14 * abs(want)
+
+
+def test_log_launch_needs_a_target_in_the_wedge():
+    assert l2_log((1.0, 0.0), (1.0, 0.0)) == (0.0, 0.0)
+    assert l2_log((1.0, 0.0), (2.0, 1.0)) == (0.5, 0.5)  # null: d1 = d2
+    for base, target in (((1.0, 0.0), (1.0, 2.0)), ((1.0, 0.0), (1.0, 2.5)),
+                         ((1.0, 0.0), (-0.5, 0.3)), ((0.0, 0.0), (1.0, 0.0))):
+        with pytest.raises(DomainError):
+            l2_log(base, target)
+
+
 def test_fit_reproduces_every_ivp_and_matches_integration():
     rng = random.Random(4711)
     for _ in range(25):
@@ -146,54 +216,6 @@ def test_numeric_geodesics_conserve_c_and_lambda(x, v):
     speed = np.hypot(v1, v2) / x1
     assert np.all(np.abs(v2 / (x1 * x1) - c0) <= 1e-8 * speed / x1)
     assert np.all(np.abs((v2 * v2 - v1 * v1) / (x1 * x1) - lam0) <= 1e-8 * speed * speed)
-
-
-@st.composite
-def _launches(draw):
-    """A launch in the null, timelike or spacelike family, any quadrant."""
-    p = (draw(st.floats(0.5, 2.0)), draw(st.floats(-2.0, 2.0)))
-    family = draw(st.sampled_from(["null", "timelike", "spacelike"]))
-    big = draw(st.floats(0.2, 1.0))
-    small = big * {"null": 1.0, "timelike": draw(st.floats(0.05, 0.95)),
-                   "spacelike": draw(st.floats(0.0, 0.95))}[family]
-    v1, v2 = (small, big) if family == "spacelike" else (big, small)
-    s1, s2 = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
-    return family, p, (s1 * v1, s2 * v2)
-
-
-@settings(max_examples=300, deadline=None)
-@given(launch=_launches(), frac=st.floats(0.05, 0.95))
-def test_t_at_x2_round_trips_the_point(launch, frac):
-    # compare points, not parameters: t is ill-conditioned where a timelike
-    # orbit flattens onto its asymptote, but the point it names is not
-    family, p, v = launch
-    geo = fit_l2_geodesic(p, v)
-    assert geo.family == family
-    lo, hi = max(geo.t_min, -5.0), min(geo.t_max, 5.0)
-    want = geo.point(lo + frac * (hi - lo))
-    got = geo.point(geo.t_at_x2(want.x2))
-    tol = 1e-9 * (1.0 + max(abs(want.x1), abs(want.x2)))
-    assert abs(got.x1 - want.x1) <= tol and abs(got.x2 - want.x2) <= tol
-
-
-def test_t_at_x2_misses_values_off_the_geodesic():
-    null = fit_l2_geodesic((1.0, 1.0), (-0.5, -0.5))
-    assert null.t_at_x2(-null.beta) is None  # x2 = alpha: the line's far end
-    geo = fit_l2_geodesic((1.0, 0.0), (-math.sqrt(2.0), 1.0))
-    # the timelike orbit x1^2 - (x2 + beta)^2 = lam/c^2 flattens onto the
-    # asymptote x2 = -beta + side*sqrt(-lam)/|c| as x1 -> 0, on the side of
-    # -beta where it starts; it never gets past it, nor to the other side
-    side = 1.0 if geo.point(0.0).x2 + geo.beta > 0.0 else -1.0
-    reach = math.sqrt(-geo.lam) / abs(geo.c)
-    assert geo.t_at_x2(-geo.beta + side * 1.01 * reach) is not None
-    for x2 in (-geo.beta + side * 0.99 * reach, -geo.beta, -geo.beta - side):
-        assert geo.t_at_x2(x2) is None
-
-
-def test_t_at_x2_needs_a_moving_x2():
-    for v in ((0.0, 0.0), (3.0, 0.0)):
-        with pytest.raises(DegenerateFitError):
-            fit_l2_geodesic((2.0, 5.0), v).t_at_x2(5.0)
 
 
 def test_orbit_residual_flags_wrong_curves():

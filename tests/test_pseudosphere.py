@@ -18,7 +18,6 @@ from affinesurf.catalog import model_metric
 from affinesurf.coverage import REACHED, UNKNOWN, UNREACHED
 from affinesurf.errors import DomainError, LiftAmbiguityError, NotTangentError
 from affinesurf.pseudosphere import (
-    AmbientGeodesic,
     apex_reach,
     chart_T,
     chart_pullback_metric,

@@ -237,7 +237,10 @@ def l2_log(base, target) -> tuple[float, float]:
     a, b = float(target[0]), float(target[1])
     d1, d2 = a - b1, b - b2
     m = (abs(d2) - abs(d1)) * (abs(d2) + abs(d1))  # > 0 spacelike, < 0 timelike
-    p = (a + b1 - abs(d2)) * (a + b1 + abs(d2))  # > 0 inside the wedge
+    # the gap to the wedge edge is summed exactly: near the edge theta ->
+    # pi (or atanh -> infinity) and k carries the gap's relative error
+    gap = math.fsum((a, b1, -b, b2) if d2 >= 0.0 else (a, b1, b, -b2))
+    p = gap * (a + b1 + abs(d2))  # > 0 inside the wedge
     if not (b1 > 0.0 and a > 0.0 and p > 0.0):
         raise DomainError("l2_log needs x1 > 0 and |q2 - p2| < p1 + q1")
     if m > 0.0:

@@ -93,7 +93,9 @@ _STATIC = {
         "S3", ChristoffelField.type_a((-1, 0, 0, 0, -1, 0), name="S3"), False
     ),
     "S3~": NamedModel(
-        "S3~", ChristoffelField.analytic(_s3t_gamma, _s3t_dgamma, name="S3~"), True
+        "S3~",
+        ChristoffelField.analytic(_s3t_gamma, _s3t_dgamma, name="S3~", locally_symmetric=True),
+        True,
     ),
     "S5": NamedModel(
         "S5", ChristoffelField.type_b((-1, 1, 0, Fraction(-1, 2), 0, 0), name="S5"), True
@@ -113,7 +115,8 @@ _STATIC = {
     "pseudosphere": NamedModel(
         "pseudosphere",
         ChristoffelField.analytic(
-            _pseudosphere_gamma, _pseudosphere_dgamma, name="pseudosphere"
+            _pseudosphere_gamma, _pseudosphere_dgamma, name="pseudosphere",
+            locally_symmetric=True,
         ),
         True,
         metric=_pseudosphere_metric,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import get_model
-from .errors import DomainError, ParamOutOfDomainError
+from .errors import DegenerateFitError, DomainError, ParamOutOfDomainError
 from .fields import ChristoffelField
 # The sweep runs integrate_geodesics; integrate_geodesic stays a module
 # attribute for tools that wrap it here, such as benchmarks/tracing.py.
@@ -135,7 +135,7 @@ def l2_reach_verdict(base, target, *, tol: float = 1e-8) -> int:
         if geo.t_max > 1.0:
             x1, x2 = geo._point(1.0)
             return REACHED if math.hypot(x1 - a, x2 - b) <= tol else UNKNOWN
-    except (ArithmeticError, ParamOutOfDomainError):
+    except (ArithmeticError, DegenerateFitError, ParamOutOfDomainError):
         # launches the fit's (C, beta) form cannot carry: nearly vertical
         # ones, where beta ~ v1/v2 loses the target's digits or overflows,
         # and ones so slow that v1**2 - v2**2 underflows

@@ -37,7 +37,8 @@ class InvalidIVPError(AffineSurfaceError, ValueError):
 
 
 class DegenerateFitError(AffineSurfaceError):
-    """Orbit has no hyperbola equation (vanishing angular momentum)."""
+    """A closed-form L2 fit has no equation for the orbit: no hyperbola
+    (vanishing angular momentum), or a metric energy that underflows."""
 
 
 class NotTangentError(AffineSurfaceError, ValueError):

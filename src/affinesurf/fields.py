@@ -126,6 +126,8 @@ class ChristoffelField:
     kinds A/B, or the ``gamma``/``dgamma`` callables for analytic fields.
     ``gamma`` maps (x1, x2) to the six packed coefficients; ``dgamma`` maps
     (x1, x2) to a 6 x 2 array of their d/dx1 and d/dx2 derivatives.
+    ``locally_symmetric`` declares nabla rho = 0 on an analytic chart, whose
+    own symmetry test is only grid-sampled; kinds A/B are tested exactly.
     """
 
     kind: str
@@ -133,6 +135,7 @@ class ChristoffelField:
     gamma: Callable[[float, float], tuple] | None = None
     dgamma: Callable[[float, float], tuple] | None = None
     name: str = ""
+    locally_symmetric: bool = False
 
     def __post_init__(self):
         if self.kind in (KIND_A, KIND_B):
@@ -141,6 +144,8 @@ class ChristoffelField:
             object.__setattr__(self, "coeffs", as_coeffs(self.coeffs))
             if self.gamma is not None or self.dgamma is not None:
                 raise ValueError("constant-table kinds must not carry callables")
+            if self.locally_symmetric:
+                raise ValueError("only analytic charts declare local symmetry")
         elif self.kind == KIND_ANALYTIC:
             if self.gamma is None or self.dgamma is None:
                 raise ValueError("analytic kind requires gamma and dgamma callables")
@@ -158,8 +163,11 @@ class ChristoffelField:
         return ChristoffelField(kind=KIND_B, coeffs=values, name=name)
 
     @staticmethod
-    def analytic(gamma, dgamma, name: str = "") -> "ChristoffelField":
-        return ChristoffelField(kind=KIND_ANALYTIC, gamma=gamma, dgamma=dgamma, name=name)
+    def analytic(
+        gamma, dgamma, name: str = "", *, locally_symmetric: bool = False
+    ) -> "ChristoffelField":
+        return ChristoffelField(kind=KIND_ANALYTIC, gamma=gamma, dgamma=dgamma, name=name,
+                                locally_symmetric=locally_symmetric)
 
     def contains(self, p) -> bool:
         """True when the point lies in the field's coordinate chart."""

@@ -25,11 +25,13 @@ Where the curvature is parallel, kappa is constant along sigma, a(t) =
 sin(sqrt(kappa) t) / sqrt(kappa), and the conjugate points are t = n pi /
 sqrt(kappa) when kappa > 0; there are none when kappa <= 0.
 ``conjugate_points`` uses this on kind-A/B charts that pass the exact
-nabla rho = 0 test.  Elsewhere (analytic charts, whose symmetry test is
-only grid-sampled, and kind-A/B charts that are not locally symmetric) it
-integrates a alongside the geodesic and refines each sign change on the
-scan grid by Brent's method (Brent 1973, *Algorithms for Minimization
-without Derivatives*, ch. 4), ported here as ``brentq``.
+nabla rho = 0 test and on analytic charts that declare it
+(``ChristoffelField.locally_symmetric``; the catalog marks the
+pseudosphere and S3~).  Only on the other charts, whose curvature is not
+known to be parallel, does it integrate a alongside the geodesic and refine
+each sign change on the scan grid by Brent's method (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 4), ported here as
+``brentq``.
 """
 
 from __future__ import annotations
@@ -299,16 +301,18 @@ def conjugate_points(
 ) -> list[float]:
     """Parameter values in (0, t_max] conjugate to t = 0 along the geodesic.
 
-    On a kind-A/B chart with nabla rho = 0 (an exact test) the roots are
-    n pi / sqrt(kappa) with kappa = rho(velocity, velocity) at the launch
-    point, and there are none when kappa <= 0; the geodesic is integrated
-    only when the first of them lies within t_max, to find how far it
-    reaches.  ``scan_samples`` is then unused.
+    Where the curvature is parallel, that is on a kind-A/B chart that
+    passes the exact nabla rho = 0 test or on an analytic chart marked
+    ``locally_symmetric`` (the catalog's pseudosphere and S3~), the roots
+    are n pi / sqrt(kappa) with kappa = rho(velocity, velocity) at the
+    launch point, and there are none when kappa <= 0; the geodesic is
+    integrated only when the first of them lies within t_max, to find how
+    far it reaches.  ``scan_samples`` is then unused.
 
-    Otherwise integrates the scalar Jacobi equation a'' + rho(sigma',
-    sigma') a = 0, a(0) = 0, a'(0) = 1 alongside the geodesic; the
-    conjugate points are the zeros of a, each a sign change (see the module
-    docstring).  Sign changes on a ``scan_samples`` grid are refined by
+    On any other chart integrates the scalar Jacobi equation a'' +
+    rho(sigma', sigma') a = 0, a(0) = 0, a'(0) = 1 alongside the geodesic;
+    the conjugate points are the zeros of a, each a sign change (see the
+    module docstring).  Sign changes on a ``scan_samples`` grid are refined by
     Brent's method re-integrating from the nearest accepted knot, so each
     root is located to integrator accuracy rather than grid accuracy.
 
@@ -321,7 +325,8 @@ def conjugate_points(
         raise InvalidIVPError("t_max must be finite")
     if v == (0.0, 0.0):
         raise InvalidIVPError("conjugate points need a nonzero velocity")
-    if field.kind != KIND_ANALYTIC and is_locally_symmetric(field):
+    # nabla rho = 0: declared on analytic charts, tested exactly on kinds A/B
+    if field.locally_symmetric or (field.kind != KIND_ANALYTIC and is_locally_symmetric(field)):
         return _parallel_curvature_roots(field, p, v, t_max)
     rhs = _scalar_jacobi_rhs(field)
     cap, _, _ = _reachable_cap(field, p, v, t_max)

@@ -153,9 +153,9 @@ def fit_l2_geodesic(point, velocity) -> ClosedFormGeodesic:
             _velocity=lambda t: (b * x1 * math.exp(b * t), 0.0),
         )
 
-    if lam == 0.0:
+    if abs(v1) == abs(v2):
         # null: sigma(s) = (k/s, sgn*k/s + alpha) in affine parameter s
-        sgn = 1.0 if v1 * v2 > 0.0 else -1.0
+        sgn = 1.0 if (v1 > 0.0) == (v2 > 0.0) else -1.0
         s0 = -x1 / v1
         k = x1 * s0
         alpha = x2 - sgn * x1
@@ -167,6 +167,8 @@ def fit_l2_geodesic(point, velocity) -> ClosedFormGeodesic:
             beta=-alpha,
         )
 
+    if lam == 0.0:
+        raise DegenerateFitError(f"lam = (v2**2 - v1**2)/x1**2 underflows at v = {(v1, v2)}")
     omega = math.sqrt(abs(lam))
     beta = x1 * v1 / v2 - x2
     big_c = abs(c) / omega

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affinesurf.catalog import (
     MODEL_NAMES,
@@ -14,13 +16,20 @@ from affinesurf.catalog import (
     model_metric,
     parse_model_spec,
 )
-from affinesurf.curvature import is_flat, is_locally_symmetric, ricci_table
+from affinesurf.curvature import (
+    _analytic_grid,
+    is_flat,
+    is_locally_symmetric,
+    nabla_ricci_at,
+    ricci_at,
+    ricci_table,
+)
 from affinesurf.errors import (
     InvalidParameterError,
     NoMetricError,
     UnknownModelError,
 )
-from affinesurf.fields import christoffel_at
+from affinesurf.fields import ChristoffelField, christoffel_at
 
 F = Fraction
 
@@ -70,6 +79,39 @@ def test_every_model_is_locally_symmetric():
         model = get_model(name, c=F(-2, 3)) if name == "S4" else get_model(name)
         assert is_locally_symmetric(model.field), name
         assert is_flat(model.field) is (name == "flat"), name
+
+
+# Analytic charts that declare nabla rho = 0, so that conjugate_points gives
+# them the closed form n pi / sqrt(kappa) instead of the numeric sweep.
+MARKED = [n for n in MODEL_NAMES if n != "S4" and get_model(n).field.locally_symmetric]
+
+
+def test_the_pseudosphere_and_s3t_are_the_marked_charts():
+    assert MARKED == ["S3~", "pseudosphere"]
+    with pytest.raises(ValueError, match="only analytic"):
+        ChristoffelField(kind="A", coeffs=(0, 0, 0, 0, 0, 0), locally_symmetric=True)
+
+
+def _assert_parallel_ricci(field, p):
+    # the five-point stencil of nabla_ricci_at leaves about 1e-11 of rho,
+    # which grows like cosh(u)**2 on the pseudosphere
+    scale = max(1.0, float(np.max(np.abs(ricci_at(field, p)))))
+    assert float(np.max(np.abs(nabla_ricci_at(field, p)))) <= 1e-9 * scale, p
+
+
+@pytest.mark.parametrize("name", MARKED)
+def test_marked_charts_have_parallel_ricci_on_the_symmetry_grid(name):
+    for p in _analytic_grid():
+        _assert_parallel_ricci(get_model(name).field, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MARKED), st.floats(min_value=-12.0, max_value=12.0),
+       st.floats(min_value=-1e3, max_value=1e3))
+def test_marked_charts_have_parallel_ricci_outside_the_symmetry_grid(name, x1, x2):
+    # the grid spans [-2, 2] x [-2, 2]
+    assume(max(abs(x1), abs(x2)) > 2.0)
+    _assert_parallel_ricci(get_model(name).field, (x1, x2))
 
 
 def test_unknown_model():

@@ -31,8 +31,9 @@ from affinesurf.coverage import (
     exp_coverage,
     l2_reach_verdict,
 )
-from affinesurf.errors import DomainError, InvalidIVPError
+from affinesurf.errors import DegenerateFitError, DomainError, InvalidIVPError
 from affinesurf.fields import ChristoffelField
+from affinesurf.lorentz import fit_l2_geodesic, l2_log
 
 
 def wedge_reachable(base, target) -> bool:
@@ -135,6 +136,14 @@ class TestVerdictOracle:
 @example(base=(10.0, 0.0), target=(5e-324, 0.0))
 def test_unreached_exactly_outside_the_wedge(base, target):
     assert (l2_reach_verdict(base, target) == UNREACHED) == (not wedge_reachable(base, target))
+
+
+def test_target_whose_fit_underflows_reads_unknown():
+    # the log launch (0, 3.4e-173) is spacelike, but its lam underflows to 0
+    target = (1.0, 3.384437812916436e-173)
+    with pytest.raises(DegenerateFitError):
+        fit_l2_geodesic((1.0, 0.0), l2_log((1.0, 0.0), target))
+    assert l2_reach_verdict((1.0, 0.0), target) == UNKNOWN
 
 
 def _grid64(lo: int, hi: int):

@@ -16,6 +16,7 @@ from affinesurf.classify import pushforward
 from affinesurf.curvature import curvature_at
 from affinesurf.errors import DomainError, FrameDegenerateError, InvalidIVPError
 from affinesurf.fields import KIND_A, ChristoffelField
+from affinesurf.integrate import solve_ode
 from affinesurf.jacobi import (
     _jacobi_rhs,
     _scalar_jacobi_rhs,
@@ -28,6 +29,30 @@ from affinesurf.lorentz import l2_inner
 L2 = get_model("L2")
 PSEUDO = get_model("pseudosphere")
 FLAT = ChristoffelField.type_a((0, 0, 0, 0, 0, 0))
+
+
+def _unmarked(name: str) -> ChristoffelField:
+    """The catalog chart's connection without its locally_symmetric marker.
+
+    conjugate_points gives the marked pseudosphere and S3~ the closed form;
+    these copies take the numeric sweep, whose roots are then still known.
+    """
+    field = get_model(name).field
+    return ChristoffelField.analytic(field.gamma, field.dgamma)
+
+
+SWEPT_PSEUDO = _unmarked("pseudosphere")
+
+
+def _count_sweeps(monkeypatch):
+    built = []
+
+    def counting(field):
+        built.append(field)
+        return _scalar_jacobi_rhs(field)
+
+    monkeypatch.setattr(jacobi, "_scalar_jacobi_rhs", counting)
+    return built
 
 
 def test_flat_jacobi_fields_are_linear():
@@ -96,17 +121,30 @@ def test_pseudosphere_conjugate_points_at_pi_and_two_pi():
     assert abs(found[1] - 2.0 * math.pi) < 1e-10
 
 
-def test_conjugate_point_on_a_scan_sample_is_reported_once():
+def test_conjugate_point_on_a_scan_sample_is_reported_once(monkeypatch):
     # 400 samples over [0, 1.5 pi]: sample 266 sits on the root pi
-    found = conjugate_points(PSEUDO.field, (0.0, 0.0), (0.0, 1.0), 1.5 * math.pi)
+    built = _count_sweeps(monkeypatch)
+    found = conjugate_points(SWEPT_PSEUDO, (0.0, 0.0), (0.0, 1.0), 1.5 * math.pi)
+    assert built == [SWEPT_PSEUDO]
     assert len(found) == 1
     assert abs(found[0] - math.pi) < 1e-10
 
 
-def test_root_within_the_smallest_step_of_a_knot_is_refined():
+def test_root_within_the_smallest_step_of_a_knot_is_refined(monkeypatch):
     # kappa = 3/4; Brent asks for a(t) 5e-13 past an accepted knot
     period = math.pi / math.sqrt(0.75)
-    found = conjugate_points(PSEUDO.field, (0.0, 0.0), (0.5, -1.0), 1.5 * period)
+    built = _count_sweeps(monkeypatch)
+    found = conjugate_points(SWEPT_PSEUDO, (0.0, 0.0), (0.5, -1.0), 1.5 * period)
+    assert built == [SWEPT_PSEUDO]
+    assert len(found) == 1
+    assert abs(found[0] - period) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "v, period", [((0.0, 1.0), math.pi), ((0.5, -1.0), math.pi / math.sqrt(0.75))]
+)
+def test_marked_pseudosphere_gives_the_same_single_roots_in_closed_form(v, period):
+    found = conjugate_points(PSEUDO.field, (0.0, 0.0), v, 1.5 * period)
     assert len(found) == 1
     assert abs(found[0] - period) < 1e-10
 
@@ -189,9 +227,9 @@ def test_brentq_matches_scipy_bit_for_bit_on_random_brackets():
 def test_conjugate_point_refinement_matches_scipy_brentq(monkeypatch):
     scipy_optimize = pytest.importorskip("scipy.optimize")
     launches = [((0.0, 0.0), (0.0, 1.0), 3.5), ((0.0, 0.2), (0.0, 1.1), 3.5 / 1.1)]
-    ours = [conjugate_points(PSEUDO.field, p, v, t) for p, v, t in launches]
+    ours = [conjugate_points(SWEPT_PSEUDO, p, v, t) for p, v, t in launches]
     monkeypatch.setattr(jacobi, "brentq", scipy_optimize.brentq)
-    theirs = [conjugate_points(PSEUDO.field, p, v, t) for p, v, t in launches]
+    theirs = [conjugate_points(SWEPT_PSEUDO, p, v, t) for p, v, t in launches]
     assert all(ours)
     assert [[r.hex() for r in roots] for roots in ours] == [
         [float(r).hex() for r in roots] for roots in theirs
@@ -306,27 +344,42 @@ def test_jacobi_coefficients_follow_the_parallel_curvature_propagator(launch, a0
 
 @st.composite
 def analytic_symmetric_launches(draw):
-    """A launch with kappa > 0 on the pseudosphere (rho = g = diag(-1,
-    cosh(u)**2)) or on S3~ (rho = diag(0, 1)), with a span holding one or
-    two conjugate points half a period clear of its end."""
+    """A catalog name and a launch with kappa > 0 on that chart, the
+    pseudosphere (rho = g = diag(-1, cosh(u)**2)) or S3~ (rho = diag(0, 1)),
+    with a span holding one or two conjugate points half a period clear of
+    its end."""
     name = draw(st.sampled_from(["pseudosphere", "S3~"]))
     p = (draw(st.floats(min_value=-0.5, max_value=0.5)), draw(unit_floats))
     v2 = draw(st.floats(min_value=0.6, max_value=1.4)) * draw(st.sampled_from([-1.0, 1.0]))
     lean = draw(st.floats(min_value=-0.7, max_value=0.7))
     scale = math.cosh(p[0]) if name == "pseudosphere" else 1.0
-    return get_model(name).field, p, (lean * scale * abs(v2), v2), draw(st.sampled_from([1, 2]))
+    return name, p, (lean * scale * abs(v2), v2), draw(st.sampled_from([1, 2]))
 
 
 @settings(max_examples=12, deadline=None)
 @given(analytic_symmetric_launches())
 def test_numeric_conjugate_points_sit_at_multiples_of_pi_over_root_kappa(launch):
-    field, p, v, n = launch
+    name, p, v, n = launch
+    field = _unmarked(name)
     kappa, _ = _jacobi_operator(field, p, v)
     period = math.pi / math.sqrt(kappa)
     found = conjugate_points(field, p, v, (n + 0.5) * period)
     want = [m * period for m in range(1, n + 1)]
     assert len(found) == n
     assert max(abs(f - w) for f, w in zip(found, want)) < 1e-9
+
+
+@settings(max_examples=12, deadline=None)
+@given(analytic_symmetric_launches())
+def test_marked_chart_closed_form_agrees_with_the_sweep_of_its_unmarked_copy(launch):
+    name, p, v, n = launch
+    marked = get_model(name).field
+    kappa, _ = _jacobi_operator(marked, p, v)
+    t_max = (n + 0.5) * math.pi / math.sqrt(kappa)
+    closed = conjugate_points(marked, p, v, t_max)
+    swept = conjugate_points(_unmarked(name), p, v, t_max)
+    assert len(closed) == len(swept) == n
+    assert max(abs(c - w) for c, w in zip(closed, swept)) < 1e-9
 
 
 # A chart that is not locally symmetric: Gamma^1_22 = x1 + 0.3 x1**3 (S3~ has
@@ -370,17 +423,6 @@ def test_conjugate_points_are_the_sign_changes_of_the_two_field_determinant(laun
         assert abs(_two_field_determinant(p, v, root, 2)[1][-1]) <= 1e-7 * scale
 
 
-def _count_sweeps(monkeypatch):
-    built = []
-
-    def counting(field):
-        built.append(field)
-        return _scalar_jacobi_rhs(field)
-
-    monkeypatch.setattr(jacobi, "_scalar_jacobi_rhs", counting)
-    return built
-
-
 def test_non_symmetric_kind_b_chart_takes_the_numeric_sweep(monkeypatch):
     field = ChristoffelField.type_b((0, 0, 1, 0, 0, 1))
     built = _count_sweeps(monkeypatch)
@@ -393,6 +435,30 @@ def test_symmetric_kind_b_chart_makes_no_jacobi_sweep(monkeypatch, v):
     built = _count_sweeps(monkeypatch)
     assert conjugate_points(L2.field, (1.0, 0.0), v, math.pi - 1e-3) == []
     assert built == []
+
+
+def test_cubic_chart_is_unmarked_and_takes_the_numeric_sweep(monkeypatch):
+    assert not CUBIC.locally_symmetric
+    built = _count_sweeps(monkeypatch)
+    assert len(conjugate_points(CUBIC, (0.5, 0.0), (0.2, 1.0), 4.0)) == 1
+    assert built == [CUBIC]
+
+
+@pytest.mark.parametrize("s", [0.8, 1.0, 1.25])
+def test_marked_pseudosphere_makes_no_jacobi_sweep(monkeypatch, s):
+    def boom(*args, **kwargs):
+        raise AssertionError("the pseudosphere called brentq")
+
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[1:])
+        return solve_ode(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "brentq", boom)
+    monkeypatch.setattr(jacobi, "solve_ode", counting)
+    assert conjugate_points(PSEUDO.field, (0.0, 0.17), (0.0, s), 3.5 / s) == [math.pi / s]
+    assert solves == []
 
 
 def test_closed_form_path_probes_the_geodesic_only_when_a_root_is_due(monkeypatch):
@@ -484,10 +550,12 @@ def test_non_finite_t_max_is_rejected(t_max):
     "field, p, v, t_max",
     [
         # numeric sweep: conjugate points at pi and 2 pi
-        (PSEUDO.field, (0.0, 0.1), (0.0, 1.0), 7.0),
+        (SWEPT_PSEUDO, (0.0, 0.1), (0.0, 1.0), 7.0),
         # closed form past pi: the geodesic leaves the chart before any root
         (L2.field, (1.0, 0.3), (0.2, 1.0), 4.0),
         (get_model("S3").field, (0.0, 0.0), (-0.5, 1.0), 4.0),
+        # closed form on the marked chart: the same roots
+        (PSEUDO.field, (0.0, 0.1), (0.0, 1.0), 7.0),
     ],
 )
 def test_conjugate_points_scale_inversely_with_the_speed(field, p, v, t_max, k):

@@ -77,6 +77,24 @@ def test_null_family_frozen_point():
         geo.point(-2.0)
 
 
+def test_slow_launch_whose_lam_underflows_is_a_degenerate_fit():
+    # lam = (v2**2 - v1**2)/x1**2 underflows to 0 on a launch that is not null
+    with pytest.raises(DegenerateFitError, match="underflows"):
+        fit_l2_geodesic((1.0, 0.0), (-0.0, 3.4e-173))
+    with pytest.raises(DegenerateFitError):
+        fit_l2_geodesic((1.0, 0.0), (3e-170, 1e-170))
+
+
+@pytest.mark.parametrize("sgn", [1.0, -1.0])
+def test_slow_null_launch_keeps_its_line(sgn):
+    # v1 * v2 underflows to 0 here; the null line x2 = sgn*(x1 - 1) must not flip
+    geo = fit_l2_geodesic((1.0, 0.0), (1e-170, sgn * 1e-170))
+    assert geo.family == "null" and geo.lam == 0.0
+    x1, x2 = geo.point(0.5e170)
+    assert x1 == pytest.approx(2.0, rel=1e-15)
+    assert x2 == pytest.approx(sgn, rel=1e-15)
+
+
 def test_timelike_family_domain_endpoint():
     # unit-momentum timelike hyperbola through (1,0); the backward escape
     # sits at affine distance arcsinh(1) from the seed point

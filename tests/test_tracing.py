@@ -13,6 +13,7 @@ import types
 
 from affinesurf import classify, coverage, geodesics, jacobi, sprays
 from affinesurf.catalog import get_model
+from affinesurf.fields import ChristoffelField
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 MODULES = (classify, coverage, geodesics, jacobi, sprays)
@@ -41,6 +42,17 @@ def test_tracer_installs_and_uninstalls_on_the_package():
         counts = tracer.take_counts()
         assert counts["integrate.solve_ode.calls"] == 1
         assert counts["fields.christoffel_at.calls"] > 0
+        # the catalog charts get closed-form conjugate points, so the scalar
+        # Jacobi sweep is traced on a chart that is not locally symmetric
+        cubic = ChristoffelField.analytic(
+            lambda x1, x2: (0.0, 0.0, 0.0, 0.0, x1 + 0.3 * x1 ** 3, 0.0),
+            lambda x1, x2: ((0.0, 0.0),) * 4 + ((1.0 + 0.9 * x1 ** 2, 0.0), (0.0, 0.0)),
+        )
+        assert len(jacobi.conjugate_points(cubic, (0.5, 0.0), (0.2, 1.0), 4.0)) == 1
+        counts = tracer.take_counts()
+        assert counts["jacobi.rhs.calls"] > 0
+        assert counts["curvature.curvature_at.calls"] > 0
+        assert counts["jacobi.brentq.calls"] == 1
     finally:
         tracer.uninstall()
     after = _attributes()

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -229,9 +230,11 @@ def christoffel_at(field: ChristoffelField, p) -> np.ndarray:
 def _christoffel_rows(field: ChristoffelField, p: np.ndarray) -> np.ndarray:
     n = p.shape[0]
     if field.kind == KIND_ANALYTIC:
-        packed = np.array([field.gamma(a, b) for a, b in p.tolist()], dtype=float)
-        if packed.shape != (n, 6):
+        rows = list(map(field.gamma, *p.T.tolist()))
+        if set(map(len, rows)) - {6}:
             raise ValueError("analytic gamma callable must return six values")
+        # fromiter on the flat values: np.array on the tuples costs twice as much
+        packed = np.fromiter(chain.from_iterable(rows), float, 6 * n).reshape(n, 6)
         return packed[:, _UNPACK]
     if field.kind == KIND_A:
         return np.repeat(field._gamma_table[np.newaxis], n, axis=0)

@@ -51,9 +51,10 @@ def geodesic_rhs(field: ChristoffelField) -> Callable:
 
     Takes y as the list of four floats ``solve_ode`` steps (any sequence of
     four floats serves) and returns a list of floats.  G(v, v)_k is summed
-    from 0.0 over (i, j) in order as (G[i, j, k] * v_i) * v_j, which gives
-    the bits of ``np.einsum("ijk,i,j->k", G, v, v)``.  A kind-A table is read
-    once, when f is built; other kinds evaluate G at each y.
+    from 0.0 over (i, j) in order as (G[i, j, k] * v_i) * v_j; the batched
+    right-hand sides make the same operations on columns (``_contract``).
+    A kind-A table is read once, when f is built; other kinds evaluate G at
+    each y.
     """
     table = christoffel_at(field, (0.0, 0.0)).tolist() if field.kind == KIND_A else None
 
@@ -68,18 +69,60 @@ def geodesic_rhs(field: ChristoffelField) -> Callable:
     return f
 
 
+def _terms(table) -> tuple:
+    """The terms of -G(w, w) for a constant (2, 2, 2) table G, column by column.
+
+    Column k lists (combine, i, j, c) over (i, j) in ``geodesic_rhs``'s
+    order, for the term (G[i, j, k] * w_i) * w_j.  Entries that are exactly
+    0 are left out: a sum begun at +0.0 is not changed by adding +-0.0, and
+    a row whose w is not finite fails through its w columns anyway.  The
+    sign of G[i, j, k] goes into combine (``np.subtract`` for a negative
+    entry) and c is its size, or None for size 1; (-c * w_i) * w_j is
+    -((c * w_i) * w_j) exactly and s - x is s + (-x), so the bits stay.
+    """
+    return tuple(
+        tuple((np.subtract if c < 0.0 else np.add, i, j, None if abs(c) == 1.0 else abs(c))
+              for i in (0, 1) for j in (0, 1) if (c := table[i][j][k]) != 0.0)
+        for k in (0, 1)
+    )
+
+
+def _contract(columns, w) -> list:
+    """-(0.0 + sum of (c * w[i]) * w[j]) for each column of (combine, i, j, c)
+    terms, in order: the operations ``geodesic_rhs`` makes on one state, on
+    the arrays w.  A column without terms gives -0.0."""
+    out = []
+    for terms in columns:
+        acc = 0.0
+        for combine, i, j, c in terms:
+            acc = combine(acc, w[i] * w[j] if c is None else c * w[i] * w[j])
+        out.append(-acc)
+    return out
+
+
 def geodesic_rhs_batch(field: ChristoffelField) -> Callable:
-    """``geodesic_rhs`` for n states at once, the rows of y (n, 4).  A kind-A
-    table is read once, when f is built; other kinds evaluate G per row."""
-    table = christoffel_at(field, (0.0, 0.0)) if field.kind == KIND_A else None
+    """``geodesic_rhs`` for n states at once, the rows of y (n, 4).
+
+    A kind-A table is read once, when f is built, as ``_terms``.  Other
+    kinds evaluate G per row and contract it pair by pair, with the columns
+    G[:, i, j] (n, 2) as c.
+    """
+    if field.kind == KIND_A:
+        columns = _terms(christoffel_at(field, (0.0, 0.0)).tolist())
+
+        def f(t, y):
+            out = np.empty_like(y)
+            out[:, 0:2] = y[:, 2:4]
+            out[:, 2], out[:, 3] = _contract(columns, (y[:, 2], y[:, 3]))
+            return out
+
+        return f
 
     def f(t, y):
-        v = y[:, 2:4]
-        if table is None:
-            acc = -np.einsum("nijk,ni,nj->nk", christoffel_at(field, y[:, 0:2]), v, v)
-        else:
-            acc = -np.einsum("ijk,ni,nj->nk", table, v, v)
-        return np.concatenate((v, acc), axis=1)
+        g = christoffel_at(field, y[:, 0:2])
+        pairs = [(np.add, i, j, g[:, i, j]) for i in (0, 1) for j in (0, 1)]
+        (acc,) = _contract((pairs,), (y[:, 2:3], y[:, 3:4]))
+        return np.concatenate((y[:, 2:4], acc), axis=1)
 
     return f
 
@@ -105,15 +148,17 @@ def _reduced_rhs(field: ChristoffelField) -> Callable:
 
 
 def _reduced_rhs_batch(field: ChristoffelField) -> Callable:
-    """``_reduced_rhs`` for n states at once, the rows of y (n, 4); a row
-    with x1 <= 0 gets NaN derivatives."""
-    table = christoffel_at(field, (1.0, 0.0))
+    """``_reduced_rhs`` for n states at once, the rows of y (n, 4), on the
+    table C read once as ``_terms``; a row with x1 <= 0 gets NaN derivatives."""
+    columns = _terms(christoffel_at(field, (1.0, 0.0)).tolist())
 
     def f(t, y):
         x1 = y[:, 0:1]
-        p = y[:, 2:4]
-        acc = -np.einsum("ijk,ni,nj->nk", table, p, p) - p[:, 0:1] * p
-        return np.concatenate((p * np.where(x1 > 0.0, x1, np.nan), acc), axis=1)
+        p = y[:, 2], y[:, 3]
+        out = np.empty_like(y)
+        np.multiply(y[:, 2:4], np.where(x1 > 0.0, x1, np.nan), out=out[:, 0:2])
+        out[:, 2], out[:, 3] = (acc - p[0] * pk for acc, pk in zip(_contract(columns, p), p))
+        return out
 
     return f
 

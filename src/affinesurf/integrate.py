@@ -34,16 +34,18 @@ gets the steps and the bits ``solve_ode`` gives it alone: stage sums start
 from 0 and run in stage order, squares are e * e, and the squared error
 terms are summed as ``np.add.reduce`` sums them, left to right below eight
 terms and in eight lanes from eight (Python's ``sum`` is avoided: from 3.12
-it compensates float sums).  The batched step factor raises err_norm to
--1/5 with ``float.__pow__`` on an object array: float ``np.power`` differs
-from Python's ``**`` in the last bit on about 5 % of inputs.  The single
-loop is not the n = 1 case of the batched one because NumPy's per-call
-overhead on a 4- to 16-element state costs more than its arithmetic.  On a
-2-core x86-64 host an H2 or S5 geodesic costs 3.5 to 6 us per
-right-hand-side evaluation through the float loop, and a single geodesic
-through ``solve_ode_batch`` takes seven to ten times as long (26 to 49 us
-per evaluation), while a 96-row H2 fan runs 2.5 to 3.5 times faster batched
-than row by row.
+it compensates float sums).  The batched loop keeps its stages in one
+stacked buffer whose slot 0 holds zeros and forms each stage sum as one
+``np.add.reduce`` over at most seven slots, which NumPy adds left to right.
+The batched step factor raises err_norm to -1/5 with ``float.__pow__`` on
+an object array: float ``np.power`` differs from Python's ``**`` in the
+last bit on about 5 % of inputs.  The single loop is not the n = 1 case of
+the batched one because NumPy's per-call overhead on a 4- to 16-element
+state costs more than its arithmetic.  On a 2-core x86-64 host an H2 or S5
+geodesic costs 3 to 6 us per right-hand-side evaluation through the float
+loop, and a single geodesic through ``solve_ode_batch`` takes about seven
+times as long (24 to 25 us per evaluation), while a 96-row H2 or S5 fan
+runs about ten times faster batched than row by row.
 """
 
 from __future__ import annotations
@@ -79,19 +81,17 @@ _B4 = (
     187.0 / 2100.0,
     1.0 / 40.0,
 )
-# The same tableau as (stage, weight) pairs: the stage increments, the
-# fifth-order solution and the embedded error estimate.
-_STAGE = tuple(tuple(enumerate(row)) for row in _A)
-_SOLUTION = tuple((i, b) for i, b in enumerate(_B5) if b != 0.0)
-_ERROR = tuple((i, _B5[i] - _B4[i]) for i in range(7) if _B5[i] != _B4[i])
+# Weights of the embedded error estimate, b5 - b4.
+_E = tuple(b - c for b, c in zip(_B5, _B4))
+# The same tableau as weights over the stage buffer of ``solve_ode_batch``,
+# whose slot 0 holds zeros and slot j stage j: the weights (0, a_i1, ...)
+# of each stage sum over slots 0 to i, and the error weights over slots 1
+# to 7.  The solution is the last stage's state: that row of _A is _B5.
+_STAGE_W = tuple(np.array((0.0,) + row)[:, np.newaxis, np.newaxis] for row in _A)
+_ERROR_W = np.array(_E)[:, np.newaxis, np.newaxis]
 
 _BLOWUP_NORM = 1e8
 _MIN_STEP = 1e-12
-
-
-def _weighted(pairs, k):
-    """Sum of weight * k[stage] over (stage, weight) pairs, in stage order."""
-    return sum(w * k[j] for j, w in pairs)
 
 
 def _eval_times(t_eval, t0: float, t_end: float, direction: float) -> list[float]:
@@ -104,13 +104,15 @@ def _eval_times(t_eval, t0: float, t_end: float, direction: float) -> list[float
     return times
 
 
-def _first_step(y, k1, span: float, rtol: float, atol: float) -> float:
-    """Initial step from the sizes of y and y' (Hairer, Norsett & Wanner, II.4)."""
+def _first_step(y, k1, span: float, rtol: float, atol: float):
+    """Initial step from the sizes of y and y' (Hairer, Norsett & Wanner, II.4),
+    along the last axis: one step for a state, one per row for rows."""
     scale = atol + rtol * np.abs(y)
-    d0 = np.sqrt(np.mean((y / scale) ** 2))
-    d1 = np.sqrt(np.mean((k1 / scale) ** 2))
-    h = 0.01 * d0 / d1 if d1 > 1e-8 and d0 > 1e-8 else span * 1e-4
-    return float(min(h, span * 0.1))
+    d0 = np.sqrt(np.mean((y / scale) ** 2, axis=-1))
+    d1 = np.sqrt(np.mean((k1 / scale) ** 2, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows that take span * 1e-4
+        h = np.where((d1 > 1e-8) & (d0 > 1e-8), 0.01 * d0 / d1, span * 1e-4)
+    return np.maximum(np.minimum(h, span * 0.1), _MIN_STEP)
 
 
 def _error_norm(err, y, y5, rtol: float, atol: float):
@@ -166,7 +168,11 @@ def _escape_time(t: float, direction: float, prev_h: float, last_h: float) -> fl
 
 @dataclass
 class IntegrationResult:
-    """Accepted knots, requested samples, and the stop diagnosis."""
+    """Accepted knots, requested samples, and the stop diagnosis.
+
+    ``n_accepted`` and ``n_rejected`` count the attempted steps; a step
+    with a failed stage is a rejected one.
+    """
 
     ts: np.ndarray
     ys: np.ndarray
@@ -177,6 +183,8 @@ class IntegrationResult:
     t_escape: float | None
     nfev: int
     message: str = ""
+    n_accepted: int = 0
+    n_rejected: int = 0
 
 
 @dataclass
@@ -200,6 +208,8 @@ class BatchResult:
     t_escape: list[float | None]
     nfev: np.ndarray
     message: list[str]
+    n_accepted: np.ndarray
+    n_rejected: np.ndarray
 
 
 # States near the largest float overflow; the step is then rejected as
@@ -267,7 +277,7 @@ def solve_ode(
     if k1 is None:
         raise IntegrationError("right-hand side is undefined at the initial state")
 
-    h = max(_first_step(y, k1, span, rtol, atol), _MIN_STEP)
+    h = float(_first_step(y, k1, span, rtol, atol))
 
     knots_t = [t]
     knots_y = [y]
@@ -283,15 +293,17 @@ def solve_ode(
     status = "reached"
     message = ""
     prev_h = last_h = math.nan
+    n_rejected = 0
     # The tableau row by row, for sums written out as DOPRI5 writes them
     # (Hairer, Norsett & Wanner, II.4).  Each runs from 0.0 in stage order,
-    # so it has the bits _weighted gives the batched loop.  A sum begun at
-    # +0.0 never becomes -0.0, so zero weights add nothing and are left out,
-    # and the last stage, whose row is the solution's, is taken at y5.
+    # so it has the bits of the batched loop's sums over its stage buffer.
+    # A sum begun at +0.0 never becomes -0.0, so zero weights add nothing and
+    # are left out, and the last stage, whose row is the solution's, is
+    # taken at y5.
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (
         a61, a62, a63, a64, a65) = _A[1:6]
     b1, _, b3, b4, b5, b6, _ = _B5
-    e1, e3, e4, e5, e6, e7 = (w for _, w in _ERROR)
+    e1, _, e3, e4, e5, e6, e7 = _E
     c2, c3, c4, c5, c6 = _C[1:6]
 
     for _ in range(max_steps):
@@ -335,6 +347,7 @@ def solve_ode(
         k7 = y5 and rhs(t + hs, y5)
 
         if k7 is None or not all(map(math.isfinite, y5)):
+            n_rejected += 1
             h = h_clip * 0.2
             if h < _MIN_STEP:
                 status, _ = _diagnose(y)
@@ -365,6 +378,8 @@ def solve_ode(
                 sample_t.append(eval_times[eval_idx])
                 sample_y.append(y)
                 eval_idx += 1
+        else:
+            n_rejected += 1
         h = h_clip * _step_factor(err_norm)
     else:
         status = "stalled"
@@ -379,6 +394,7 @@ def solve_ode(
         ts=np.array(knots_t), ys=np.array(knots_y), sample_ts=np.array(sample_t),
         sample_ys=np.array(sample_y) if sample_y else np.empty((0, d)), status=status,
         t_final=t, t_escape=t_escape, nfev=nfev, message=message,
+        n_accepted=len(knots_t) - 1, n_rejected=n_rejected,
     )
 
 
@@ -439,10 +455,12 @@ def solve_ode_batch(
     eval_times = _eval_times(t_eval, t0, t_end, direction)
     targets = np.array(eval_times + [math.nan])  # NaN past the last: never hit
 
-    k1 = _rows_rhs(f, np.full(n, t0), y)
+    # in C order the means _first_step takes along each row add as a lone
+    # state's do
+    k1 = np.ascontiguousarray(_rows_rhs(f, np.full(n, t0), y))
     if not np.all(np.isfinite(k1)):
         raise IntegrationError("right-hand side is undefined at the initial state")
-    h = [max(_first_step(y[r], k1[r], span, rtol, atol), _MIN_STEP) for r in range(n)]
+    h = _first_step(y, k1, span, rtol, atol)
     at_t0 = int(eval_times[:1] == [t0])
 
     sample_ys = np.full((n, len(eval_times), d), math.nan)
@@ -457,10 +475,12 @@ def solve_ode_batch(
         t_escape=[None] * n,
         nfev=np.zeros(n, dtype=int),
         message=[""] * n,
+        n_accepted=np.zeros(n, dtype=int),
+        n_rejected=np.zeros(n, dtype=int),
     )
     s = _Rows(
-        row=np.arange(n), t=np.full(n, t0), y=y, k0=k1, h=np.array(h),
-        idx=np.full(n, at_t0), nfev=np.ones(n, dtype=int),
+        row=np.arange(n), t=np.full(n, t0), y=y, k0=k1, h=h,
+        idx=np.full(n, at_t0), nfev=np.ones(n, dtype=int), accepted=np.zeros(n, dtype=int),
         prev_h=np.full(n, math.nan), last_h=np.full(n, math.nan),
     )
 
@@ -474,6 +494,8 @@ def solve_ode_batch(
             res.t_final[r] = t
             res.y_final[r] = s.y[i]
             res.nfev[r] = s.nfev[i]
+            res.n_accepted[r] = s.accepted[i]
+            res.n_rejected[r] = attempts - s.accepted[i]
             res.n_samples[r] = s.idx[i]
             if status != "reached":
                 res.t_escape[r] = _escape_time(
@@ -484,7 +506,9 @@ def solve_ode_batch(
         return status, f"step collapsed to {h_clip[i]:.3e} at t={s.t[i]:.12g} (|y|={norm:.3e})"
 
     # All rows start together, so every live row has been through as many
-    # iterations as the loop, and one counter serves as each row's budget.
+    # iterations as the loop, and one counter serves as each row's budget
+    # and counts each row's attempted steps.
+    attempts = 0
     # Rows that fail go on through the rest of their step on values that are
     # thrown away; their overflows are not worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -515,21 +539,30 @@ def solve_ode_batch(
 
             hs = h_signed[:, np.newaxis]
             stage_t = s.t + np.multiply.outer(_C, h_signed)
-            k = [s.k0] + [None] * 6
+            # slot 0 zeros, slot j stage j, slot 8 the solution.  Over at
+            # most seven slots np.add.reduce adds left to right, so each
+            # stage sum runs from 0.0 in stage order as solve_ode's does
+            k = np.zeros((9,) + s.y.shape)
+            k[1] = s.k0
             for i in range(1, 7):
-                k[i] = _rows_rhs(f, stage_t[i], s.y + hs * _weighted(_STAGE[i], k))
-            y5 = s.y + hs * _weighted(_SOLUTION, k)
-            finite = np.isfinite(np.stack(k[1:] + [y5])).all(axis=2)
-            failed = ~finite.all(axis=0)
-            any_failed = failed.any()
+                state = s.y + hs * np.add.reduce(_STAGE_W[i] * k[:i + 1], axis=0)
+                k[i + 1] = _rows_rhs(f, stage_t[i], state)
+            y5 = k[8] = state
+            finite = np.isfinite(k[2:])
+            any_failed = not finite.all()
             if any_failed:
                 # solve_ode stops evaluating at the first failing stage; a
                 # non-finite solution (row 6 of finite) comes after all six
+                finite = finite.all(axis=2)
+                failed = ~finite.all(axis=0)
                 s.nfev += np.where(failed, np.minimum(np.argmin(finite, axis=0) + 1, 6), 6)
             else:
                 s.nfev += 6
 
-            err_norm = _error_norm(hs * _weighted(_ERROR, k), s.y, y5, rtol, atol)
+            # the error sum starts from stage 1, not 0.0: that moves only the
+            # sign of a zero, which the squares in _error_norm drop
+            err = hs * np.add.reduce(_ERROR_W * k[1:8], axis=0)
+            err_norm = _error_norm(err, s.y, y5, rtol, atol)
             # _step_factor for every row, on Python's float ** (see above)
             power = np.power(np.where(err_norm == 0.0, 1.0, err_norm).astype(object), -0.2)
             factor = np.where(err_norm == 0.0, 5.0,
@@ -538,15 +571,17 @@ def solve_ode_batch(
             accept = err_norm <= 1.0
             if any_failed:
                 accept &= ~failed
+            attempts += 1
+            s.accepted = s.accepted + accept
             if accept.all():
                 s.prev_h, s.last_h = s.last_h, h_clip
-                s.t, s.y, s.k0 = s.t + h_signed, y5, k[6]
+                s.t, s.y, s.k0 = s.t + h_signed, y5, k[7]
             elif accept.any():
                 s.prev_h = np.where(accept, s.last_h, s.prev_h)
                 s.last_h = np.where(accept, h_clip, s.last_h)
                 s.t = np.where(accept, s.t + h_signed, s.t)
                 s.y = np.where(accept[:, np.newaxis], y5, s.y)
-                s.k0 = np.where(accept[:, np.newaxis], k[6], s.k0)
+                s.k0 = np.where(accept[:, np.newaxis], k[7], s.k0)
             sampled = accept & hit & (
                 np.abs(s.t - targets[s.idx]) <= 1e-12 * np.maximum(1.0, np.abs(s.t)))
             res.sample_ys[s.row[sampled], s.idx[sampled]] = s.y[sampled]

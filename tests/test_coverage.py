@@ -330,6 +330,41 @@ def test_sweep_maps_keep_their_pinned_cells(name):
     cover = exp_coverage(get_model(name).field, base, window, 40, angles=96, t_max=t_max)
     assert hashlib.sha256(cover.to_csv().encode("ascii")).hexdigest() == digest
 
+
+# SHA-256 of the CSV of a small numeric sweep map (20 cells, 24 angles) of
+# every swept catalog chart, recorded before the batched step loop stacked
+# its stage sums and the batched right-hand sides left np.einsum: the sweeps
+# must keep every cell.
+SMALL_SWEEP_PINS = {
+    "S1": (None, (0.0, 0.0), (-3.0, 3.0, -3.0, 3.0), 6.0,
+           "5c1b0bdbf0cee644cc0958fcdd75999f02473e636664d6d35bd45cf60b1ce70e"),
+    "S2": (None, (0.0, 0.0), (-3.0, 3.0, -3.0, 3.0), 4.0,
+           "3c2b0a09b09c05e07cb7f09c80c52f54d0aa140ba1d87ed6a7754c684412a5d4"),
+    "S3": (None, (0.1, -0.2), (-2.5, 3.1, -4.3, 4.1), 4.0,
+           "964525bda03af7c0c7c600f505019a0a924a5f2bdc21f5fb2e2d5532e09c30d4"),
+    "S3~": (None, (0.75, 0.1), (-2.25, 3.75, -3.9, 4.1), 10.0,
+            "4dd2d62d6eeb50df9fb9636bcd073f7fdc39ee241aaf4659185420d3d6514ca8"),
+    "S4": ("3/4", (1.0, 0.0), (0.05, 3.0, -2.0, 2.0), 10.0,
+           "83ae368f1c0869c78a93ac099dabf6774d7f650a0fbd761959a6739fc99943e0"),
+    "S5": (None, (1.0, 0.0), (0.05, 3.0, -2.0, 2.0), 10.0,
+           "32c722ed37a0005db528b3e4e80fd0a94b0d6cc9bd236236198bde3c57f0443d"),
+    "H2": (None, (1.0, 0.1), (0.05, 3.0, -1.9, 2.1), 40.0,
+           "8de04b3d71e3f68227f8c3f4177b3f8ad71f04d8182bd1b059decbb3070209d8"),
+    "pseudosphere": (None, (0.0, 0.0), (-3.0, 3.0, -3.0, 3.0), 6.0,
+                     "b9d86ce738736faec0b7cea59c26c9a3a22abb0d93e8563cea10acc284ab8507"),
+    "flat": (None, (0.0, 0.0), (-3.0, 3.0, -3.0, 3.0), 2.5,
+             "b73afc3f29d773ef7186d0330a38488833e5dd7606129d82ee78508807be006d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SWEEP_PINS))
+def test_small_sweep_maps_keep_their_frozen_cells(name):
+    c, base, window, t_max, digest = SMALL_SWEEP_PINS[name]
+    cover = exp_coverage(get_model(name, c).field, base, window, 20, angles=24, t_max=t_max)
+    assert cover.counts()["reached"] > 100
+    assert hashlib.sha256(cover.to_csv().encode("ascii")).hexdigest() == digest
+
+
 def test_non_finite_inputs_are_rejected():
     window = (0.5, 2.0, -1.0, 1.0)
     with pytest.raises(InvalidIVPError, match="finite"):

@@ -7,14 +7,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from affinesurf.catalog import get_model
+from affinesurf.catalog import MODEL_NAMES, get_model
 from affinesurf.errors import InvalidIVPError
-from affinesurf.fields import ChristoffelField
+from affinesurf.fields import KIND_B, ChristoffelField
 from affinesurf.geodesics import (
     Incomplete,
+    _reduced_rhs,
+    _reduced_rhs_batch,
     exp_map,
     geodesic_rhs,
+    geodesic_rhs_batch,
     integrate_geodesic,
     write_trajectory_csv,
 )
@@ -46,6 +51,57 @@ def test_rhs_packs_velocity_then_acceleration():
     # S1: xdd1 = (v1)**2 + v1*v2, xdd2 = 0
     out = f(0.0, np.array([0.3, -0.8, 2.0, 5.0]))
     assert np.allclose(out, [2.0, 5.0, 4.0 + 10.0, 0.0])
+
+
+# Every chart the batched right-hand sides serve: the catalog, a kind-A
+# table without a zero entry (no term is left out) and an analytic chart
+# that is not a catalog one.
+RHS_FIELDS = {name: get_model(name).field for name in MODEL_NAMES if name != "S4"}
+RHS_FIELDS.update({
+    "S4:c=3/4": get_model("S4", "3/4").field,
+    "full-A": ChristoffelField.type_a((1, "-1/3", "2/7", -2, "5/11", "3/5")),
+    "cubic": ChristoffelField.analytic(
+        lambda x1, x2: (0.0, 0.0, 0.0, 0.0, x1 + 0.3 * x1 ** 3, 0.0),
+        lambda x1, x2: ((0.0, 0.0),) * 4 + ((1.0 + 0.9 * x1 ** 2, 0.0), (0.0, 0.0)),
+    ),
+})
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _rhs_states(draw):
+    """A chart and up to six states in it, with signed zeros among the entries."""
+    name = draw(st.sampled_from(sorted(RHS_FIELDS)))
+    x1 = st.floats(0.05, 3.0) if RHS_FIELDS[name].kind == KIND_B else _COORDS
+    rows = draw(st.lists(st.tuples(x1, _COORDS, _COORDS, _COORDS), min_size=1, max_size=6))
+    return name, rows
+
+
+@settings(max_examples=200, deadline=None)
+@example(("full-A", [(0.0, 0.0, 2.9, 1.5)]))  # the (0, 1) and (1, 0) terms in turn
+@given(case=_rhs_states())
+def test_batched_rhs_rows_have_the_bits_of_the_single_rhs(case):
+    # the contraction the batched right-hand sides share must make the
+    # single ones' operations in their order, zero terms and signs included
+    name, rows = case
+    field = RHS_FIELDS[name]
+    pairs = [(geodesic_rhs_batch, geodesic_rhs)]
+    if field.kind == KIND_B:
+        pairs.append((_reduced_rhs_batch, _reduced_rhs))
+    y = np.array(rows)
+    for batch, single in pairs:
+        out = batch(field)(np.zeros(len(rows)), y)
+        assert out.shape == y.shape
+        for r, row in enumerate(rows):
+            assert out[r].tobytes() == np.array(single(field)(0.0, list(row))).tobytes()
+
+
+def test_batched_reduced_rhs_marks_rows_outside_the_chart():
+    f = _reduced_rhs_batch(get_model("H2").field)
+    out = f(np.zeros(3), np.array([[1.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5],
+                                   [-1.0, 0.0, 0.5, 0.5]]))
+    assert np.all(np.isfinite(out[0]))
+    assert np.all(np.isnan(out[1:, 0:2]))
 
 
 def test_s1_blowup_time_is_exact_inverse_speed():

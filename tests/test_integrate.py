@@ -215,6 +215,41 @@ def test_python_sum_of_squares_has_the_bits_of_np_add_reduce(ratios):
     assert _sum_of_squares(ratios).hex() == float(np.add.reduce([r * r for r in ratios])).hex()
 
 
+@st.composite
+def _stacked_slots(draw):
+    """Up to seven stacked (n, d) slots of signed magnitudes and signed zeros."""
+    m, n, d = draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    values = st.sampled_from([0.0, -0.0]) | _signed_magnitudes()
+    flat = draw(st.lists(values, min_size=m * n * d, max_size=m * n * d))
+    return np.reshape(flat, (m, n, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slots=_stacked_slots())
+def test_np_add_reduce_over_stacked_slots_adds_left_to_right(slots):
+    # solve_ode_batch forms each stage sum as np.add.reduce over axis 0 of a
+    # stack of at most seven slots whose slot 0 is +0.0, and takes it for
+    # solve_ode's sum from 0.0 in stage order: a NumPy release that sums
+    # such a stack in another order, or loses a signed zero, fails here.
+    # (From eight slots of one element each NumPy sums in eight lanes.)
+    slots[0] = 0.0
+    left_to_right = slots[0]
+    for slot in slots[1:]:
+        left_to_right = left_to_right + slot
+    assert np.add.reduce(slots, axis=0).tobytes() == left_to_right.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(slots=_stacked_slots())
+def test_np_add_reduce_from_any_first_slot_differs_only_in_a_zero_sign(slots):
+    # the batched error sum starts from stage 1 rather than 0.0; only its
+    # squares are used, so a zero of either sign is the same
+    left_to_right = 0.0 + slots[0]
+    for slot in slots[1:]:
+        left_to_right = left_to_right + slot
+    assert (np.add.reduce(slots, axis=0) ** 2).tobytes() == (left_to_right ** 2).tobytes()
+
+
 # Batched runs against solo runs.  Each batched row must reproduce the run
 # solve_ode makes for it alone: same status, evaluation count and samples,
 # and the same escape estimate.
@@ -229,6 +264,7 @@ def _assert_row_matches(batch, r, solo):
     m = int(batch.n_samples[r])
     assert (batch.status[r], batch.message[r]) == (solo.status, solo.message)
     assert batch.nfev[r] == solo.nfev
+    assert (batch.n_accepted[r], batch.n_rejected[r]) == (solo.n_accepted, solo.n_rejected)
     assert batch.t_final[r] == solo.t_final
     assert batch.t_escape[r] == solo.t_escape
     assert batch.y_final[r].tobytes() == solo.ys[-1].tobytes()
@@ -406,6 +442,17 @@ def test_zero_component_with_zero_atol_stalls_like_ieee_division():
     res = solve_ode(lambda t, y: np.array([1.0, 0.0]), 0.0, [1.0, 0.0], 1.0, atol=0.0)
     assert res.status == "stalled"
     assert res.nfev == 73
+    assert (res.n_accepted, res.n_rejected) == (0, 12)
+
+
+def test_step_counts_add_up_to_the_evaluations():
+    # every attempted step without a failed stage costs six evaluations
+    # after the first; accepted steps are the knots after the first.  The
+    # jump at t = 1 makes the steps across it fail the error test
+    res = solve_ode(lambda t, y: [0.0 if t < 1.0 else 1.0], 0.0, [0.0], 2.0)
+    assert res.n_rejected > 0
+    assert res.n_accepted == len(res.ts) - 1
+    assert res.nfev == 1 + 6 * (res.n_accepted + res.n_rejected)
 
 
 # Frozen bits.  Each IVP below keeps the status, evaluation count, stop

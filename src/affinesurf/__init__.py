@@ -100,7 +100,6 @@ from .pseudosphere import (
     chart_T,
     chart_partials,
     chart_pullback_metric,
-    coverage_universal_cover,
     lift_path,
     minkowski_inner,
     pseudosphere_geodesic,

@@ -61,7 +61,6 @@ class CoverageMap:
     x_edges: np.ndarray
     y_edges: np.ndarray
     grid: np.ndarray
-    axis_names: tuple[str, str] = ("x1", "x2")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -73,10 +72,13 @@ class CoverageMap:
         return cx, cy
 
     def value_at(self, x: float, y: float) -> int:
-        i = int(np.searchsorted(self.x_edges, x, side="right")) - 1
-        j = int(np.searchsorted(self.y_edges, y, side="right")) - 1
-        if not (0 <= i < self.grid.shape[0] and 0 <= j < self.grid.shape[1]):
+        """Verdict of the cell holding (x, y).  A point on an inner edge reads
+        the cell above it, one on the window's upper edge the last cell."""
+        xs, ys = self.x_edges, self.y_edges
+        if not (xs[0] <= x <= xs[-1] and ys[0] <= y <= ys[-1]):
             raise DomainError(f"({x}, {y}) is outside the coverage window")
+        i = int(np.searchsorted(xs[:-1], x, side="right")) - 1
+        j = int(np.searchsorted(ys[:-1], y, side="right")) - 1
         return int(self.grid[i, j])
 
     def counts(self) -> dict[str, int]:
@@ -105,6 +107,11 @@ def _window_edges(window, cells: int):
     return np.linspace(x_lo, x_hi, cells + 1), np.linspace(y_lo, y_hi, cells + 1)
 
 
+def _check_tol(tol) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+
+
 def _mark_samples(grid, x_edges, y_edges, pts: np.ndarray) -> None:
     if pts.size == 0:
         return
@@ -123,6 +130,7 @@ def l2_reach_verdict(base, target, *, tol: float = 1e-8) -> int:
     with ``l2_log(base, target)`` is defined at t = 1 and lands within
     ``tol`` of it, and UNKNOWN otherwise.
     """
+    _check_tol(tol)
     b1, b2 = float(base[0]), float(base[1])
     a, b = float(target[0]), float(target[1])
     if b1 <= 0.0:
@@ -192,7 +200,9 @@ def exp_coverage(
     reached/unknown only.  The sweep steps the m directions 2 pi k / m
     forward to t_max, with m = ``angles`` when it is even and 2 ``angles``
     when it is odd; reversal makes them cover each launch for |t| <= t_max.
+    ``tol`` is the L2 landing tolerance, a positive finite number.
     """
+    _check_tol(tol)
     x_edges, y_edges = _window_edges(window, cells)
     base = (float(base[0]), float(base[1]))
     l2 = get_model("L2").field

@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, IntegrationError, InvalidIVPError
 
 __all__ = ["BatchResult", "IntegrationResult", "solve_ode", "solve_ode_batch"]
 
@@ -92,6 +92,11 @@ _ERROR_W = np.array(_E)[:, np.newaxis, np.newaxis]
 
 _BLOWUP_NORM = 1e8
 _MIN_STEP = 1e-12
+
+
+def _check_tolerances(rtol: float, atol: float) -> None:
+    if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf and rtol + atol > 0.0):
+        raise InvalidIVPError(f"need finite tolerances >= 0, not both 0; got {rtol}, {atol}")
 
 
 def _eval_times(t_eval, t0: float, t_end: float, direction: float) -> list[float]:
@@ -236,8 +241,10 @@ def solve_ode(
     from the sizes of y and y' (``_first_step``); ``max_steps`` bounds the
     attempted steps, and a run that exhausts it stops ``"stalled"``.
     Backward integration (t_end < t0) is supported; sample times must then
-    be decreasing.
+    be decreasing.  Tolerances that are negative, not finite or both zero
+    raise ``InvalidIVPError``.
     """
+    _check_tolerances(rtol, atol)
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y)):
         raise IntegrationError("initial state is not finite")
@@ -441,6 +448,7 @@ def solve_ode_batch(
     alone, as a ``DomainError`` would in ``solve_ode``.  Every exception
     ``f`` raises propagates: it cannot be pinned on one row.
     """
+    _check_tolerances(rtol, atol)
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
         raise IntegrationError("batched states must have shape (n, d)")

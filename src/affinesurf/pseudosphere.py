@@ -4,6 +4,10 @@ The surface is {x : <x, x> = 1} for the inner product with signature
 (+, +, -).  Its geodesics through a point P with tangent xi are elementary
 in the ambient coordinates, which makes reachability questions and the
 lifted picture in the (u, v) chart fully explicit.
+
+T(u, v) is 2 pi periodic in v, so the (u, v) plane, the catalog's
+``pseudosphere`` chart, is the universal cover.  ``lift_path`` lifts ambient
+paths to it; its exp map is ``coverage.exp_coverage``, a reached/unknown sweep.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coverage import REACHED, UNKNOWN, UNREACHED, CoverageMap, _mark_samples, _window_edges
+from .coverage import REACHED, UNKNOWN, UNREACHED
 from .errors import DomainError, LiftAmbiguityError, NotTangentError
 
 __all__ = [
@@ -26,7 +30,6 @@ __all__ = [
     "pseudosphere_geodesic",
     "apex_reach",
     "lift_path",
-    "coverage_universal_cover",
     "write_ambient_csv",
 ]
 
@@ -197,87 +200,6 @@ def lift_path(points) -> tuple[np.ndarray, np.ndarray]:
         )
     v = raw[0] + np.concatenate([[0.0], np.cumsum(deltas)])
     return u, v
-
-
-def _direction_samples(xi2: float, xi3: float, u_cap: float, n: int) -> np.ndarray:
-    """Sampled ambient points along the apex geodesic with tangent
-    (0, xi2, xi3), restricted to |u| <= u_cap."""
-    p = np.array([1.0, 0.0, 0.0])
-    geo = pseudosphere_geodesic(p, np.array([0.0, xi2, xi3]), tol=1e-12)
-    x3_cap = math.sinh(u_cap)
-    if geo.family == "spacelike":
-        t_hi = 2.0 * math.pi / geo.omega
-        ts = np.linspace(-t_hi, t_hi, 2 * n + 1)
-    elif geo.family == "null":
-        t_hi = x3_cap / max(abs(xi3), 1e-300)
-        ts = np.linspace(-t_hi, t_hi, 2 * n + 1)
-    else:
-        t_hi = math.asinh(x3_cap * geo.omega / abs(xi3)) / geo.omega
-        ts = np.linspace(-t_hi, t_hi, 2 * n + 1)
-    return geo.sample(ts)
-
-
-def coverage_universal_cover(
-    window=(-4.0, 4.0, -4.0, 4.0),
-    cells=80,
-    *,
-    directions: int = 512,
-    samples_per_curve: int = 2048,
-) -> CoverageMap:
-    """Sweep apex geodesics, lift them, and mark the (u, v) cells they hit.
-
-    ``window`` is (u_lo, u_hi, v_lo, v_hi).  Cells are REACHED when a
-    sampled lifted point lands in them and UNREACHED otherwise, so the map
-    is empirical: a fine ``directions``/``samples_per_curve`` budget is
-    needed for a faithful picture.  Spacelike lifts are checked to refocus
-    at (0, +-pi) before marking; a failure raises ValueError.
-    """
-    u_edges, v_edges = _window_edges(window, cells)
-    grid = np.full((len(u_edges) - 1, len(v_edges) - 1), UNREACHED, dtype=int)
-    u_cap = max(abs(u_edges[0]), abs(u_edges[-1])) + 0.2
-
-    for k in range(directions):
-        phi = 2.0 * math.pi * k / directions
-        xi2, xi3 = math.cos(phi), math.sin(phi)
-        pts = _direction_samples(xi2, xi3, u_cap, samples_per_curve)
-        n_try = samples_per_curve
-        while True:
-            try:
-                u, v = lift_path(pts)
-                break
-            except LiftAmbiguityError:
-                n_try *= 2
-                if n_try > 2**17:
-                    raise
-                pts = _direction_samples(xi2, xi3, u_cap, n_try)
-        if xi2 * xi2 - xi3 * xi3 > 1e-12:
-            # spacelike: the lift must pass through the focus (0, +-pi)
-            omega = math.sqrt(xi2 * xi2 - xi3 * xi3)
-            geo = pseudosphere_geodesic(
-                np.array([1.0, 0.0, 0.0]), np.array([0.0, xi2, xi3])
-            )
-            half = geo.point(math.pi / omega)
-            fu, fv = lift_path(np.array([[1.0, 0.0, 0.0], *_arc(geo, omega)]))
-            if abs(fu[-1]) > 1e-6 or abs(abs(fv[-1]) - math.pi) > 1e-6:
-                raise ValueError(
-                    f"focusing check failed for direction {phi}: "
-                    f"lift of the antipode {half} is ({fu[-1]}, {fv[-1]})"
-                )
-        inside = (np.abs(u) <= u_cap)
-        _mark_samples(grid, u_edges, v_edges, np.column_stack([u, v])[inside])
-
-    return CoverageMap(
-        base=(0.0, 0.0),
-        x_edges=u_edges,
-        y_edges=v_edges,
-        grid=grid,
-        axis_names=("u", "v"),
-    )
-
-
-def _arc(geo: AmbientGeodesic, omega: float) -> np.ndarray:
-    ts = np.linspace(0.0, math.pi / omega, 257)[1:]
-    return geo.sample(ts)
 
 
 def write_ambient_csv(path, geo: AmbientGeodesic, ts) -> None:

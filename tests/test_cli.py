@@ -177,6 +177,18 @@ class TestGeodesic:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "tols", [("--rtol=0", "--atol=0"), ("--rtol=-1",), ("--atol=nan",)]
+    )
+    def test_bad_tolerances_exit_2(self, capsys, tols):
+        code, out, err = run_cli(
+            capsys,
+            "geodesic", "--model", "H2", "--p0", "1,0", "--v0", "0,1",
+            "--tspan=-1,1", *tols,
+        )
+        assert code == 2 and out == ""
+        assert "tolerances" in err
+
     def test_stalled_run_exits_4(self, capsys, monkeypatch):
         stub = GeodesicTrajectory(
             t=np.array([0.0, 0.5]),
@@ -231,6 +243,16 @@ class TestExpmap:
         )
         assert code == 2
         assert "angles" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tol_exits_2(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys,
+            "expmap", "--model", "L2", "--base", "1,0",
+            "--window", "0,2,-1,1", "--cells", "4", f"--tol={tol}",
+        )
+        assert code == 2 and out == ""
+        assert "tol must be a positive finite number" in err
 
     def test_base_outside_chart_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -374,6 +374,32 @@ def test_non_finite_inputs_are_rejected():
             exp_coverage(get_model("L2").field, base, window, 4)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_bad_tol_is_rejected(tol):
+    window = (0.0, 2.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="positive finite"):
+        l2_reach_verdict((1.0, 0.0), (1.0, 0.5), tol=tol)
+    with pytest.raises(ValueError, match="positive finite"):
+        exp_coverage(get_model("L2").field, (1.0, 0.0), window, 4, tol=tol)
+    with pytest.raises(ValueError, match="positive finite"):
+        exp_coverage(get_model("H2").field, (1.0, 0.0), window, 4, tol=tol, angles=4)
+
+
+def test_l2_map_settles_each_cell_through_the_module_verdict(monkeypatch):
+    # tools such as benchmarks/tracing.py wrap coverage.l2_reach_verdict
+    calls = []
+    verdict = coverage.l2_reach_verdict
+
+    def counted(base, target, **kwargs):
+        calls.append(target)
+        return verdict(base, target, **kwargs)
+
+    monkeypatch.setattr(coverage, "l2_reach_verdict", counted)
+    cover = exp_coverage(get_model("L2").field, (1.0, 0.0), (0.0, 2.0, -1.0, 1.0), 4)
+    assert len(calls) == 16
+    assert cover.counts()["reached"] == 16
+
+
 class TestCoverageMapContainer:
     def test_roundtrip_orientation(self):
         grid = np.arange(6).reshape(3, 2) % 3
@@ -387,3 +413,21 @@ class TestCoverageMapContainer:
         # top row is the high-x2 cells: grid[:, 1]
         assert lines[0] == ",".join(str(v) for v in grid[:, 1])
         assert lines[1] == ",".join(str(v) for v in grid[:, 0])
+
+    def test_value_at_reads_the_upper_edges_into_the_last_cells(self):
+        grid = np.arange(6).reshape(3, 2) % 3
+        cm = CoverageMap(
+            base=(1.0, 0.0),
+            x_edges=np.array([0.0, 1.0, 2.0, 3.0]),
+            y_edges=np.array([-1.0, 0.0, 1.0]),
+            grid=grid,
+        )
+        assert cm.value_at(3.0, 0.5) == grid[2, 1]
+        assert cm.value_at(0.5, 1.0) == grid[0, 1]
+        assert cm.value_at(3.0, 1.0) == grid[2, 1]
+        assert cm.value_at(0.0, -1.0) == grid[0, 0]
+        assert cm.value_at(1.0, 0.0) == grid[1, 1]  # inner edges read the cell above
+        for x, y in [(3.0 + 1e-12, 0.5), (0.5, 1.0 + 1e-12), (-1e-12, 0.5),
+                     (0.5, -1.0 - 1e-12), (math.nan, 0.5), (0.5, math.inf)]:
+            with pytest.raises(DomainError, match="outside"):
+                cm.value_at(x, y)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinesurf.catalog import get_model
-from affinesurf.errors import DomainError, IntegrationError
+from affinesurf.errors import DomainError, IntegrationError, InvalidIVPError
 from affinesurf.fields import ChristoffelField
 from affinesurf.geodesics import (
     _reduced_rhs,
@@ -142,6 +142,50 @@ def test_bad_sample_times_raise(t_end, t_eval, match):
         solve_ode(lambda t, y: y, 0.0, [1.0], t_end, t_eval=t_eval)
     with pytest.raises(IntegrationError, match=match):
         solve_ode_batch(lambda t, y: y, 0.0, [[1.0], [1.0]], t_end, t_eval)
+
+
+@pytest.mark.parametrize(
+    "rtol, atol",
+    [
+        (-1.0, 1e-12),  # unchecked: "reached", 6.5e-6 off sin(1)
+        (math.nan, 1e-12),  # unchecked: "stalled" after 73 evaluations
+        (math.inf, 1e-12),
+        (1e-10, -1e-12),
+        (1e-10, math.nan),
+        (0.0, 0.0),
+    ],
+)
+def test_bad_tolerances_raise_before_any_step(rtol, atol):
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return [y[1], -y[0]]
+
+    def f_rows(t, y):
+        calls.append(t)
+        return np.column_stack([y[:, 1], -y[:, 0]])
+
+    with pytest.raises(InvalidIVPError, match="tolerances"):
+        solve_ode(f, 0.0, [0.0, 1.0], 1.0, rtol=rtol, atol=atol)
+    with pytest.raises(InvalidIVPError, match="tolerances"):
+        solve_ode(f, 0.0, [0.0, 1.0], 0.0, rtol=rtol, atol=atol)
+    with pytest.raises(InvalidIVPError, match="tolerances"):
+        solve_ode_batch(f_rows, 0.0, [[0.0, 1.0]], 1.0, [1.0], rtol=rtol, atol=atol)
+    assert calls == []
+
+
+def test_one_zero_tolerance_is_accepted():
+    # y'' = -y from (0, 1): y(1) = sin 1
+    res = solve_ode(lambda t, y: [y[1], -y[0]], 0.0, [0.0, 1.0], 1.0, rtol=0.0, atol=1e-12)
+    assert res.status == "reached"
+    assert abs(res.ys[-1, 0] - math.sin(1.0)) < 1e-10
+    rows = solve_ode_batch(
+        lambda t, y: np.column_stack([y[:, 1], -y[:, 0]]),
+        0.0, [[0.0, 1.0]], 1.0, [1.0], rtol=0.0, atol=1e-12,
+    )
+    assert rows.status == ["reached"]
+    assert rows.sample_ys[0, -1, 0] == res.ys[-1, 0]
 
 
 def test_rhs_programming_error_raises_instead_of_stalling():

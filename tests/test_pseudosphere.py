@@ -1,4 +1,4 @@
-"""Ambient pseudosphere geodesics, chart lifts, and the cover sweep.
+"""Ambient pseudosphere geodesics, chart lifts, and the exp coverage map.
 
 Oracles: the ambient formulas are checked against the defining ODE
 sigma'' = -<sigma', sigma'> sigma via complex-step differentiation of the
@@ -14,14 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from affinesurf.catalog import model_metric
-from affinesurf.coverage import REACHED, UNKNOWN, UNREACHED
+from affinesurf.catalog import get_model, model_metric
+from affinesurf.coverage import REACHED, UNKNOWN, UNREACHED, exp_coverage
 from affinesurf.errors import DomainError, LiftAmbiguityError, NotTangentError
 from affinesurf.pseudosphere import (
     apex_reach,
     chart_T,
     chart_pullback_metric,
-    coverage_universal_cover,
     lift_path,
     minkowski_inner,
     pseudosphere_geodesic,
@@ -219,31 +218,69 @@ class TestLift:
             lift_path(np.zeros((3, 2)))
 
 
+def reached_by_rule(u, v):
+    """Closed-form exp image of the (u, v) chart from (0, 0): the target is
+    reached iff |cosh u cos v| < 1, or cosh u cos v >= 1 and |v| < pi/2
+    (the focal points (0, k pi) are measure zero and left out)."""
+    c = np.cosh(u) * np.cos(v)
+    return (np.abs(c) < 1.0) | ((c >= 1.0) & (np.abs(v) < math.pi / 2))
+
+
 @pytest.fixture(scope="module")
 def cover():
-    return coverage_universal_cover(
-        (-4.0, 4.0, -4.0, 4.0), 40, directions=128, samples_per_curve=1024
-    )
+    # T(u, v) is 2 pi periodic in v, so the catalog chart is the universal cover
+    field = get_model("pseudosphere").field
+    return exp_coverage(field, (0.0, 0.0), (-4.0, 4.0, -4.0, 4.0), 40)
 
 
-class TestCoverSweep:
-    def test_axes_and_base(self, cover):
-        assert cover.axis_names == ("u", "v")
+class TestCoverageAgainstTheClosedForm:
+    @pytest.fixture(scope="class")
+    def rule_cells(self, cover):
+        """Per cell: the rule on a 5 x 5 grid of points spanning the cell."""
+        n_u, n_v = cover.shape
+        out = np.empty((n_u, n_v, 25), dtype=bool)
+        for i in range(n_u):
+            for j in range(n_v):
+                u, v = np.meshgrid(
+                    np.linspace(cover.x_edges[i], cover.x_edges[i + 1], 5),
+                    np.linspace(cover.y_edges[j], cover.y_edges[j + 1], 5),
+                )
+                out[i, j] = reached_by_rule(u, v).ravel()
+        return out
+
+    def test_map_shape_and_base(self, cover):
         assert cover.base == (0.0, 0.0)
         assert cover.shape == (40, 40)
 
-    def test_equator_cell_reached(self, cover):
-        assert cover.value_at(0.0, math.pi / 2) == REACHED
+    def test_no_wholly_unreached_cell_reads_reached(self, cover, rule_cells):
+        unreached = ~rule_cells.any(axis=2)
+        assert unreached.sum() == 680
+        assert not np.any(cover.grid[unreached] == REACHED)
 
-    def test_band_inside_null_asymptotes_reached(self, cover):
-        # timelike directions sweep arbitrarily large |u| at small |v|
-        assert cover.value_at(3.5, 0.1) == REACHED
-        assert cover.value_at(-3.5, -0.1) == REACHED
+    def test_wholly_reachable_cells_read_reached(self, cover, rule_cells):
+        reachable = rule_cells.all(axis=2)
+        assert reachable.sum() == 780
+        hits = np.sum(cover.grid[reachable] == REACHED)
+        assert hits >= 0.98 * reachable.sum()
 
-    def test_far_cells_beyond_null_asymptotes_unreached(self, cover):
-        # beyond v = pi/2 the reachable |u| is capped by arcsinh|tan v|
-        for u, v in [(3.5, 2.5), (-3.5, 2.5), (3.5, -2.5), (2.5, 3.9)]:
-            assert cover.value_at(u, v) == UNREACHED
+    def test_no_cell_reads_unreached(self, cover):
+        # a sweep has no proof of unreachability
+        assert not np.any(cover.grid == UNREACHED)
 
-    def test_focus_neighbourhood_reached(self, cover):
-        assert cover.value_at(0.05, math.pi) == REACHED
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            (0.0, math.pi / 2),  # equator
+            (3.5, 0.1), (-3.5, -0.1), (3.5, -0.1), (-3.5, 0.1),  # inside the null asymptotes
+            (0.05, math.pi),  # its cell holds reachable points (0, pi - d) near the focus
+            (-3.9, 1.3), (-3.9, -1.3),  # cosh u cos v ~ 6.6 with |v| < pi/2
+        ],
+    )
+    def test_reachable_points_read_reached(self, cover, u, v):
+        assert cover.value_at(u, v) == REACHED
+
+    @pytest.mark.parametrize("u, v", [(3.5, 2.5), (-3.5, 2.5), (3.5, -2.5), (2.5, 3.9)])
+    def test_unreachable_points_read_unknown(self, cover, u, v):
+        # beyond v = pi/2 the reachable |u| is capped by arcsinh |tan v|
+        assert not reached_by_rule(u, v)
+        assert cover.value_at(u, v) == UNKNOWN

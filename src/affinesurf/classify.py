@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .catalog import get_model
 from .curvature import nabla_ricci_table, ricci_table
 from .errors import ClassificationInconclusiveError
 from .fields import _SLOTS, ChristoffelField, _numerators, as_coeffs, coeffs_to_tensor
@@ -150,16 +151,6 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-_CANON = {
-    "H2": (Fraction(-1), Fraction(0), Fraction(0), Fraction(-1), Fraction(1), Fraction(0)),
-    "L2": (Fraction(-1), Fraction(0), Fraction(0), Fraction(-1), Fraction(-1), Fraction(0)),
-    "S5": (Fraction(-1), Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(0)),
-    "S1": (Fraction(-1), Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(0)),
-    "S2": (Fraction(0), Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(0)),
-    "S3": (Fraction(-1), Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(0)),
-}
-
-
 def _finish_type_b(coeffs, verdict, delta, gamma, canonical, c=None) -> NormalForm:
     witness = ShearScale(delta=delta, gamma=gamma)
     image = pushforward(coeffs, witness.matrix())
@@ -195,7 +186,7 @@ def classify_type_b(values) -> NormalForm:
         scaled = scale_transform(coeffs, gamma)
         # after scaling, c22_1 is +1 or -1; shear kills c22_2
         delta = -scaled[5] / scaled[4]
-        return _finish_type_b(coeffs, verdict, delta, gamma, _CANON[verdict])
+        return _finish_type_b(coeffs, verdict, delta, gamma, get_model(verdict).field.coeffs)
 
     if c22_2 != 0:
         # A symmetric non-flat chart cannot sit in this branch: the exact
@@ -217,7 +208,7 @@ def classify_type_b(values) -> NormalForm:
     if c11_2 == 0:
         canonical = (Fraction(-1), Fraction(0), Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(0))
         return _finish_type_b(coeffs, "S4", Fraction(0), Fraction(1), canonical, c=Fraction(-1, 2))
-    return _finish_type_b(coeffs, "S5", Fraction(0), 1 / c11_2, _CANON["S5"])
+    return _finish_type_b(coeffs, "S5", Fraction(0), 1 / c11_2, get_model("S5").field.coeffs)
 
 
 def _line_factor(coeffs):
@@ -300,7 +291,7 @@ def classify_type_a(
     # push forward in exact arithmetic (Fraction(float) is exact), so the
     # residual is the witness's own defect, free of cancellation in the sums
     image = pushforward(coeffs, tuple(tuple(Fraction(e) for e in row) for row in matrix))
-    resid = float(max(abs(x - y) for x, y in zip(image, _CANON[name])))
+    resid = float(max(abs(x - y) for x, y in zip(image, get_model(name).field.coeffs)))
     if not resid < residual_tol:
         raise ClassificationInconclusiveError(
             f"{name} witness leaves residual {resid:.3e}, not below {residual_tol:g}"

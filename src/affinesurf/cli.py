@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -93,7 +94,10 @@ def _parse_floats(text: str, n: int, label: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"{label} needs {n} comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    values = tuple(float(p) for p in parts)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{label} needs finite numbers, got {text!r}")
+    return values
 
 
 def _parse_fractions(values) -> tuple[Fraction, ...]:
@@ -351,6 +355,7 @@ def _format_table(arr: np.ndarray) -> str:
 def cmd_curvature(args, cfg: dict) -> int:
     if (args.model is None) == (args.kind is None):
         raise ValueError("give exactly one of --model or --type with six coefficients")
+    point = _parse_floats(cfg["point"], 2, "--point")
     if args.model is not None:
         model = parse_model_spec(args.model)
         field = model.field
@@ -359,7 +364,6 @@ def cmd_curvature(args, cfg: dict) -> int:
         if len(args.coefficients) != 6:
             raise ValueError("--type needs six coefficient values")
         field = ChristoffelField(kind=args.kind, coeffs=_parse_fractions(args.coefficients))
-    point = _parse_floats(cfg["point"], 2, "--point")
     print(f"kind: {field.kind}")
     print(f"point: {point[0]:.12g},{point[1]:.12g}")
     for name, value in zip(COEFF_NAMES, tensor_to_coeffs(christoffel_at(field, point))):

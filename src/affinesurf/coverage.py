@@ -100,6 +100,8 @@ class CoverageMap:
 
 def _window_edges(window, cells: int):
     x_lo, x_hi, y_lo, y_hi = (float(w) for w in window)
+    if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi, x_hi - x_lo, y_hi - y_lo))):
+        raise ValueError(f"window bounds and spans must be finite, got {tuple(window)}")
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("window must satisfy x_lo < x_hi and y_lo < y_hi")
     if cells < 1:
@@ -144,9 +146,9 @@ def l2_reach_verdict(base, target, *, tol: float = 1e-8) -> int:
             x1, x2 = geo._point(1.0)
             return REACHED if math.hypot(x1 - a, x2 - b) <= tol else UNKNOWN
     except (ArithmeticError, DegenerateFitError, ParamOutOfDomainError):
-        # launches the fit's (C, beta) form cannot carry: nearly vertical
-        # ones, where beta ~ v1/v2 loses the target's digits or overflows,
-        # and ones so slow that v1**2 - v2**2 underflows
+        # launches whose orbit constants leave the float range: beta ~ v1/v2
+        # overflows on a nearly vertical one, and v1**2 - v2**2 underflows
+        # on a very slow one
         pass
     return UNKNOWN
 

@@ -109,14 +109,16 @@ def _eval_times(t_eval, t0: float, t_end: float, direction: float) -> list[float
     return times
 
 
+# a zero error scale (atol = 0 on a zero component), a state near the
+# largest float and the rows that take span * 1e-4 divide as IEEE has it
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _first_step(y, k1, span: float, rtol: float, atol: float):
     """Initial step from the sizes of y and y' (Hairer, Norsett & Wanner, II.4),
     along the last axis: one step for a state, one per row for rows."""
     scale = atol + rtol * np.abs(y)
     d0 = np.sqrt(np.mean((y / scale) ** 2, axis=-1))
     d1 = np.sqrt(np.mean((k1 / scale) ** 2, axis=-1))
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows that take span * 1e-4
-        h = np.where((d1 > 1e-8) & (d0 > 1e-8), 0.01 * d0 / d1, span * 1e-4)
+    h = np.where((d1 > 1e-8) & (d0 > 1e-8), 0.01 * d0 / d1, span * 1e-4)
     return np.maximum(np.minimum(h, span * 0.1), _MIN_STEP)
 
 
@@ -220,7 +222,7 @@ class BatchResult:
 # States near the largest float overflow; the step is then rejected as
 # designed, and the NumPy parts (the first step, a zero error scale, the
 # caller's f) must not warn about it.
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def solve_ode(
     f: Callable,
     t0: float,
@@ -518,8 +520,9 @@ def solve_ode_batch(
     # and counts each row's attempted steps.
     attempts = 0
     # Rows that fail go on through the rest of their step on values that are
-    # thrown away; their overflows are not worth a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # thrown away; their overflows are not worth a warning, and a zero error
+    # scale divides as in solve_ode.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(max_steps):
             if not s.row.size:
                 break

@@ -177,7 +177,7 @@ def fit_l2_geodesic(point, velocity) -> ClosedFormGeodesic:
         # timelike: u = eps*omega*t + u0 with sinh(u0) = 1/(C*x1).  Since
         # |v1| > |v2| >= 0 here, v1 is never 0 and fixes the direction; S is
         # pinned by the Killing momentum (c = -eps*omega*S*C).
-        sin, cos, tan = math.sinh, math.cosh, math.tanh
+        sin, cos = math.sinh, math.cosh
         u0 = math.asinh(1.0 / (big_c * x1))
         eps = -1.0 if v1 > 0.0 else 1.0
         big_s = -1.0 if c * eps > 0.0 else 1.0
@@ -190,7 +190,7 @@ def fit_l2_geodesic(point, velocity) -> ClosedFormGeodesic:
         # digits: near the apex u0 = pi/2 the arcsin keeps only half of them,
         # so u0 comes from the cotangent; and on a nearly null launch
         # pi - u0 rounds a tiny u0 away, so eps = -1 keeps u0 itself.
-        sin, cos, tan = math.sin, math.cos, math.tan
+        sin, cos = math.sin, math.cos
         eps, big_s = 1.0, (-1.0 if c > 0.0 else 1.0)
         cot0 = big_s * big_c * (x2 + beta)
         if abs(cot0) < 1e-4:
@@ -205,10 +205,13 @@ def fit_l2_geodesic(point, velocity) -> ClosedFormGeodesic:
         if eps < 0.0:
             t_min, t_max = -t_max, -t_min
 
-    # sin, cos and tan are hyperbolic on a timelike orbit
-    def pt(t, e=eps, w=omega, u_0=u0, C=big_c, S=big_s, b=beta):
+    # sin and cos are hyperbolic on a timelike orbit.  x2 = S cot(u)/C - beta
+    # is written as its difference from x2(0), free of beta, which is huge
+    # on a nearly vertical launch and would take x2's digits with it
+    def pt(t, e=eps, w=omega, u_0=u0, C=big_c, S=big_s, y0=x2, sn0=sin(u0)):
         u = e * w * t + u_0
-        return (1.0 / (C * sin(u)), S / (C * tan(u)) - b)
+        sn = sin(u)
+        return (1.0 / (C * sn), y0 + S * sin(u_0 - u) / (C * sn * sn0))
 
     def vel(t, e=eps, w=omega, u_0=u0, C=big_c, S=big_s):
         u = e * w * t + u_0

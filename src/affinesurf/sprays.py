@@ -6,19 +6,19 @@ with g(sigma', xi) = 1.  Pulled back through such a chart, the model
 metric takes the normal form g_ss = t^2, g_st = 1, g_tt = 0.  The module
 carries the explicit closed charts into the pseudosphere and the Lorentz
 half-plane, numeric chart construction for arbitrary catalog models with a
-metric, the two spine charts (normal exponential maps of a unit geodesic),
-and grid verification utilities.
+metric, the two closed spine charts (normal exponential maps of a unit
+half-plane geodesic), and grid verification utilities.
 
-Every closed map, whether a chart or the composition T_S2 after the
-inverse of T_L2, is pulled back by one complex-step helper (``_pullback``),
-and every defect report is built by ``IsometryReport.of`` with rows
-(a, b, got - want).
+Every closed map, whether a null spray, a spine chart or the composition
+T_S2 after the inverse of T_L2, is pulled back by one complex-step helper
+(``_pullback``), and every defect report is built by ``IsometryReport.of``
+with rows (a, b, got - want).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,13 +31,12 @@ from .errors import (
     DomainError,
     NoMetricError,
     NotNullGeodesicError,
-    ParamOutOfDomainError,
 )
 from .fields import ChristoffelField, christoffel_at
 from .geodesics import integrate_geodesic
 from .integrate import solve_ode
 from .jacobi import _chart_vectors, _jacobi_rhs, _pack_state
-from .lorentz import fit_l2_geodesic, l2_metric
+from .lorentz import l2_metric
 from .pseudosphere import minkowski_inner
 
 __all__ = [
@@ -132,10 +131,9 @@ def invert_T_S2(x) -> tuple:
 class SprayChart:
     """Evaluable chart T(s, t) with its frame data.
 
-    kind is "closed-chart" (closed complex-safe map into a 2-d chart),
-    "closed-ambient" (closed map into Minkowski 3-space), "fit" (points
-    from the half-plane closed-form geodesic families), or "numeric"
-    (points by geodesic integration).
+    kind is "closed-chart" (closed complex-safe map into a 2-d chart, on
+    the columns ``t_domain`` bounds), "closed-ambient" (closed map into
+    Minkowski 3-space), or "numeric" (points by geodesic integration).
     """
 
     label: str
@@ -149,31 +147,18 @@ class SprayChart:
     closed_map: Callable | None = None
     t_domain_fn: Callable | None = None
     expected_form: Callable | None = None
-    _fit_cache: dict = dataclass_field(default_factory=dict, repr=False)
 
     def t_domain(self, s: float) -> tuple[float, float]:
         if self.t_domain_fn is not None:
             return self.t_domain_fn(s)
-        if self.kind == "fit":
-            geo = self._fit(s)
-            return (geo.t_min, geo.t_max)
         return (-math.inf, math.inf)
-
-    def _fit(self, s: float):
-        key = float(s)
-        geo = self._fit_cache.get(key)
-        if geo is None:
-            geo = fit_l2_geodesic(self.sigma(key), self.xi(key))
-            if len(self._fit_cache) > 4096:
-                self._fit_cache.clear()
-            self._fit_cache[key] = geo
-        return geo
 
     def point(self, s: float, t: float) -> np.ndarray:
         if self.closed_map is not None:
+            t_lo, t_hi = self.t_domain(s)
+            if not (t_lo < t < t_hi):  # past an escape, a periodic map runs on
+                raise DomainError(f"t={t} outside the chart column at s={s}")
             return np.real(self.closed_map(s, t))
-        if self.kind == "fit":
-            return np.asarray(self._fit(float(s)).point(float(t)), dtype=float)
         t = float(t)
         if t == 0.0:
             return self.sigma(float(s))
@@ -325,7 +310,7 @@ def l2_null_spray() -> SprayChart:
         field=get_model("L2").field,
         metric=l2_metric,
         closed_map=map_T_L2,
-        t_domain_fn=lambda s: (-math.inf, 2.0 / s),
+        t_domain_fn=lambda s: (-math.inf, 2.0 / s if s > 0.0 else -math.inf),
     )
 
 
@@ -363,79 +348,60 @@ def s2_null_spray() -> SprayChart:
     )
 
 
+def _spine_vertical(s, t):
+    d = np.cos(s) * np.cosh(t) - np.sinh(t)
+    return np.array([1.0, np.sin(s) * np.cosh(t)]) / d
+
+
+def _spine_horizontal(s, t):
+    d = np.sinh(s) * np.cos(t) - np.sin(t)
+    return np.array([1.0 / d, math.sqrt(2.0) - np.cosh(s) * np.cos(t) / d])
+
+
+# kind: (label, closed map, s range, column domain, expected form)
+_SPINES = {
+    "vertical": (
+        "vertical spine chart", _spine_vertical, (-1.35, 1.35),
+        lambda s: (-math.inf, math.atanh(math.cos(s)) if math.cos(s) < 1.0 else math.inf),
+        lambda s, t: (math.cosh(t) ** 2, 0.0, -1.0),
+    ),
+    "horizontal": (
+        "horizontal spine chart", _spine_horizontal, (0.1, 4.0),
+        lambda s: (math.atan(math.sinh(s)) - math.pi, math.atan(math.sinh(s))),
+        lambda s, t: (-math.cos(t) ** 2, 0.0, 1.0),
+    ),
+}
+
+
 def spine_sprays(kind: str) -> SprayChart:
-    """Normal exponential chart of a unit half-plane geodesic ("spine").
+    """Normal exponential chart of a unit half-plane geodesic ("spine"): a
+    closed map whose sigma, sigma' and xi are T(s, 0) and its two
+    complex-step partials.
 
-    "vertical": the unit spacelike geodesic (sec s, tan s) with its unit
-    timelike normal; the chart metric is cosh^2(t) ds^2 - dt^2.
-    "horizontal": the unit timelike geodesic (csch r, sqrt(2) - coth r)
-    with its unit spacelike normal; the chart metric is
-    -cos^2(t) ds^2 + dt^2 and the normals escape at finite t.
+    "vertical": unit timelike normals off the unit spacelike geodesic
+    (sec s, tan s); metric cosh^2(t) ds^2 - dt^2 on t < atanh(cos s).
+    "horizontal": unit spacelike normals off the unit timelike geodesic
+    (csch s, sqrt(2) - coth s); metric -cos^2(t) ds^2 + dt^2 on
+    atan(sinh s) - pi < t < atan(sinh s).
     """
-    fld = get_model("L2").field
-    if kind == "vertical":
-        sigma = lambda s: np.array([1.0 / math.cos(s), math.tan(s)])
-        sigma_vel = lambda s: np.array(
-            [math.tan(s) / math.cos(s), 1.0 / math.cos(s) ** 2]
-        )
-        xi = lambda s: np.array(
-            [1.0 / math.cos(s) ** 2, math.tan(s) / math.cos(s)]
-        )
-        xi_vel = lambda s: np.array([
-            2.0 * math.tan(s) / math.cos(s) ** 2,
-            1.0 / math.cos(s) ** 3 + math.tan(s) ** 2 / math.cos(s),
-        ])
-        s_range = (-1.35, 1.35)
-        signs = (1.0, -1.0)  # spacelike spine, timelike normal
-        expected = lambda s, t: (math.cosh(t) ** 2, 0.0, -1.0)
-        label = "vertical spine chart"
-    elif kind == "horizontal":
-        sigma = lambda s: np.array(
-            [1.0 / math.sinh(s), math.sqrt(2.0) - 1.0 / math.tanh(s)]
-        )
-        sigma_vel = lambda s: np.array([
-            -math.cosh(s) / math.sinh(s) ** 2,
-            1.0 / math.sinh(s) ** 2,
-        ])
-        xi = lambda s: np.array([
-            1.0 / math.sinh(s) ** 2,
-            -math.cosh(s) / math.sinh(s) ** 2,
-        ])
-        xi_vel = lambda s: np.array([
-            -2.0 * math.cosh(s) / math.sinh(s) ** 3,
-            -1.0 / math.sinh(s) + 2.0 * math.cosh(s) ** 2 / math.sinh(s) ** 3,
-        ])
-        s_range = (0.1, 4.0)
-        signs = (-1.0, 1.0)  # timelike spine, spacelike normal
-        expected = lambda s, t: (-math.cos(t) ** 2, 0.0, 1.0)
-        label = "horizontal spine chart"
-    else:
+    if kind not in _SPINES:
         raise ValueError("spine kind must be 'vertical' or 'horizontal'")
-
+    label, closed, s_range, t_domain, expected = _SPINES[kind]
     for s in np.linspace(s_range[0] + 0.01, s_range[1] - 0.01, 7):
-        g = l2_metric(sigma(s))
-        v, w = sigma_vel(s), xi(s)
-        if (
-            abs(float(v @ g @ v) - signs[0]) > 1e-10
-            or abs(float(w @ g @ w) - signs[1]) > 1e-10
-            or abs(float(v @ g @ w)) > 1e-10
-        ):
+        got = _pullback(closed, l2_metric, s, 0.0)
+        if max(abs(a - b) for a, b in zip(got, expected(s, 0.0))) > 1e-10:
             raise BadNormalizationError(f"spine frame identities fail at s={s}")
-        cov = xi_vel(s) + np.einsum(
-            "ijk,i,j->k", christoffel_at(fld, sigma(s)), v, w
-        )
-        if float(np.max(np.abs(cov))) > 1e-9:
-            raise BadNormalizationError(f"spine normal is not parallel at s={s}")
-
     return SprayChart(
         label=label,
-        kind="fit",
-        sigma=sigma,
-        sigma_vel=sigma_vel,
-        xi=xi,
+        kind="closed-chart",
+        sigma=lambda s: np.real(closed(s, 0.0)),
+        sigma_vel=lambda s: _partials(closed, s, 0.0)[0],
+        xi=lambda s: _partials(closed, s, 0.0)[1],
         s_range=s_range,
-        field=fld,
+        field=get_model("L2").field,
         metric=l2_metric,
+        closed_map=closed,
+        t_domain_fn=t_domain,
         expected_form=expected,
     )
 
@@ -451,28 +417,22 @@ def _gram(ds, dt, g) -> tuple[float, float, float]:
     return ds @ g @ ds, ds @ g @ dt, dt @ g @ dt
 
 
+def _partials(map_fn, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The s- and t-partials of the closed map at (s, t) by complex step."""
+    return (
+        np.imag(map_fn(s + 1j * _CS_H, t)) / _CS_H,
+        np.imag(map_fn(s, t + 1j * _CS_H)) / _CS_H,
+    )
+
+
 def _pullback(map_fn, metric, s: float, t: float) -> tuple[float, float, float]:
     """(g_ss, g_st, g_tt) of ``metric`` pulled back through the closed map
     at (s, t), with both partials taken by complex step.  ``metric`` maps a
     point to its metric matrix; None means Minkowski 3-space."""
-    ds = np.imag(map_fn(s + 1j * _CS_H, t)) / _CS_H
-    dt = np.imag(map_fn(s, t + 1j * _CS_H)) / _CS_H
+    ds, dt = _partials(map_fn, s, t)
     if metric is None:
         return minkowski_inner(ds, ds), minkowski_inner(ds, dt), minkowski_inner(dt, dt)
     return _gram(ds, dt, metric(np.real(map_fn(s, t))))
-
-
-def _fd4_partial_s(point_fn, s: float, t: float, h: float) -> np.ndarray:
-    try:
-        f_m2 = point_fn(s - 2.0 * h, t)
-        f_m1 = point_fn(s - h, t)
-        f_p1 = point_fn(s + h, t)
-        f_p2 = point_fn(s + 2.0 * h, t)
-    except (DomainError, ParamOutOfDomainError) as exc:
-        raise DifferentiationFailureError(
-            f"stencil at (s, t) = ({s}, {t}) leaves the chart domain"
-        ) from exc
-    return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
 
 
 def _variation_column(chart: SprayChart, s: float, ts: np.ndarray):
@@ -512,8 +472,9 @@ def spray_metric_grid(chart: SprayChart, s_vals, t_vals) -> np.ndarray:
 
     Returns an array of shape (len(s_vals), len(t_vals), 3) holding
     (g_ss, g_st, g_tt).  Closed charts are differentiated by complex
-    step; "fit" charts use the exact t-velocity and a fourth-order
-    stencil in s; numeric charts integrate the variation field.
+    step at nodes inside their column ``t_domain(s)`` and raise
+    DifferentiationFailureError elsewhere (a periodic map would land on
+    another branch there); numeric charts integrate the variation field.
     """
     s_vals = np.asarray(s_vals, dtype=float)
     t_vals = np.asarray(t_vals, dtype=float)
@@ -521,23 +482,13 @@ def spray_metric_grid(chart: SprayChart, s_vals, t_vals) -> np.ndarray:
 
     if chart.closed_map is not None:
         for i, s in enumerate(s_vals):
+            t_lo, t_hi = chart.t_domain(s)
             for j, t in enumerate(t_vals):
-                out[i, j] = _pullback(chart.closed_map, chart.metric, s, t)
-        return out
-
-    if chart.kind == "fit":
-        for i, s in enumerate(s_vals):
-            h = 1e-4 * max(1.0, abs(s))
-            geo = chart._fit(s)
-            for j, t in enumerate(t_vals):
-                if not (geo.t_min < t < geo.t_max):
+                if not (t_lo < t < t_hi):
                     raise DifferentiationFailureError(
                         f"t={t} outside the chart column at s={s}"
                     )
-                base = np.asarray(geo.point(t), dtype=float)
-                dt = np.asarray(geo.velocity(t), dtype=float)
-                ds = _fd4_partial_s(chart.point, s, t, h)
-                out[i, j] = _gram(ds, dt, chart.metric(base))
+                out[i, j] = _pullback(chart.closed_map, chart.metric, s, t)
         return out
 
     for i, s in enumerate(s_vals):

@@ -189,6 +189,17 @@ class TestGeodesic:
         assert code == 2 and out == ""
         assert "tolerances" in err
 
+    def test_zero_atol_runs_without_a_warning(self, capsys):
+        # v0 = (0, 1) from (1, 0) has zero components, so atol = 0 gives a
+        # zero error scale; the suite turns a NumPy RuntimeWarning into an error
+        code, out, err = run_cli(
+            capsys,
+            "geodesic", "--model", "H2", "--p0", "1,0", "--v0", "0,1",
+            "--tspan=-1,1", "--atol", "0",
+        )
+        assert code == 0 and err == ""
+        assert out.startswith("t,x1,x2,v1,v2\n-1,")
+
     def test_stalled_run_exits_4(self, capsys, monkeypatch):
         stub = GeodesicTrajectory(
             t=np.array([0.0, 0.5]),
@@ -318,6 +329,13 @@ class TestSpray:
         assert lines[0] == "s,t,d_ss,d_st,d_tt"
         assert len(lines) == 1 + 25
 
+    @pytest.mark.parametrize("target", ["spine-vertical", "spine-horizontal"])
+    def test_closed_spines_verify_to_rounding(self, capsys, target):
+        code, out, _ = run_cli(capsys, "spray", "--verify", target, "--grid", "41")
+        assert code == 0
+        defect = float(re.search(r"max defect (\S+)", out).group(1))
+        assert defect < 1e-12
+
     # SHA-256 of (stdout, --out CSV) of `spray --verify <target> --grid 41`,
     # recorded before the pullback and the defect rows had one code path each
     GRID_41_DIGESTS = {
@@ -333,13 +351,15 @@ class TestSpray:
             "ee381315873bcf07bb55831453c098f7cf27ffb6bc4270e6ea975af9b1f13dbd",
             "1690e64c4ac6566d47ad787c6cc6f290ef6096e945448cd52b9dab69943d46f2",
         ),
+        # the spine entries were re-recorded when the spine charts became
+        # closed maps on the complex-step pullback
         "spine-vertical": (
-            "87e257a2c073cd88089718faeb495cfca692f75cf134e8ce1c84add5c79d3b9f",
-            "0bf792265a7aff8090e4c833ebe20b108d00a78d60dca192461b09db3a0edad8",
+            "a5da16c51850bbd1b515dcd1dd345c031cc189895b77ea6084977dec1d46b9b0",
+            "7e042054e024dd6c17f9769d44c60bc3080f4797825774569a4f437de02f65e4",
         ),
         "spine-horizontal": (
-            "7afd49e3c92cbd7c83286864f6c38758d3cebc66e77dd2b86d38962015eaa01d",
-            "8d49d6c4f00a9a34eb2fd3ef940a95ab11cbc44d4e9a8b5a8564a88795a3c109",
+            "eb4260fb54faee68c46b4cddebd1562bf1170914cc81b04f729824c5506b911c",
+            "134f109dbfda9579c817078d0a948e120153f57cda10e6370219009cc4a42545",
         ),
     }
 
@@ -547,6 +567,13 @@ class TestDeterminism:
          "--cells", "4", "--tmax", "nan"),
         ("expmap", "--model", "L2", "--base", "nan,0", "--window", "0.5,2,-1,1",
          "--cells", "4"),
+        ("expmap", "--model", "L2", "--base", "1,0", "--window", "0,inf,0,1",
+         "--cells", "2"),
+        # finite bounds whose span overflows
+        ("expmap", "--model", "L2", "--base", "1,0", "--window=-1,1,-1e308,1e308",
+         "--cells", "2"),
+        ("curvature", "--model", "L2", "--point", "inf,0"),
+        ("curvature", "--model", "L2", "--point", "0,nan"),
     ],
 )
 def test_non_finite_bounds_exit_2(capsys, argv):

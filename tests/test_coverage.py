@@ -89,7 +89,7 @@ class TestVerdictOracle:
         for _ in range(4000):
             dx2 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -2.0)
             verdicts[l2_reach_verdict(base, (rng.uniform(0.05, 6.5), base[1] + dx2))] += 1
-        assert verdicts[UNREACHED] == 0 and verdicts[UNKNOWN] <= 5
+        assert verdicts[UNREACHED] == 0 and verdicts[UNKNOWN] == 0
 
     def test_near_null_targets_are_confirmed(self):
         # |x2 - b2| = |x1 - b1| (1 +- 1e-9): c = <E(p), E(q)> is within
@@ -372,6 +372,11 @@ def test_non_finite_inputs_are_rejected():
     for base in [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf), (1.0, math.nan)]:
         with pytest.raises(DomainError, match="finite"):
             exp_coverage(get_model("L2").field, base, window, 4)
+    # bounds, or a span that overflows
+    for bad in [(0.0, math.inf, 0.0, 1.0), (math.nan, 1.0, 0.0, 1.0), (-1.0, 1.0, -1e308, 1e308)]:
+        for name in ("L2", "H2"):
+            with pytest.raises(ValueError, match="finite"):
+                exp_coverage(get_model(name).field, (1.0, 0.0), bad, 2, angles=4)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])

@@ -489,6 +489,24 @@ def test_zero_component_with_zero_atol_stalls_like_ieee_division():
     assert (res.n_accepted, res.n_rejected) == (0, 12)
 
 
+# atol = 0 on a launch with zero components: a zero error scale, whose
+# IEEE divisions must not warn, neither in the first step nor in the loops
+ZERO_ATOL_FANS = {
+    "H2": (get_model("H2").field, (1.0, 0.0), [(0.0, 1.0), (1.0, 0.0)]),
+    "S3": (get_model("S3").field, (0.0, 0.0), [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]),
+    "pseudosphere": (get_model("pseudosphere").field, (0.0, 0.0), [(0.0, 1.0), (1.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_ATOL_FANS))
+def test_zero_atol_fan_rows_match_solo_runs(case):
+    field, base, velocities = ZERO_ATOL_FANS[case]
+    run = integrate_geodesics(field, base, velocities, 1.0, atol=0.0)
+    for r, v in enumerate(velocities):
+        solo = integrate_geodesic(field, base, v, 1.0, atol=0.0)
+        _assert_row_matches(run, r, solo.result_forward)
+
+
 def test_step_counts_add_up_to_the_evaluations():
     # every attempted step without a failed stage costs six evaluations
     # after the first; accepted steps are the knots after the first.  The

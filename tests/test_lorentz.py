@@ -85,6 +85,16 @@ def test_slow_launch_whose_lam_underflows_is_a_degenerate_fit():
         fit_l2_geodesic((1.0, 0.0), (3e-170, 1e-170))
 
 
+def test_nearly_vertical_timelike_launch_fits():
+    # beta = x1 v1/v2 - x2 is about -1.4e7 here: an x2 written as
+    # S cot(u)/C - beta lost its last digits to beta and failed the fit check
+    p, v = (1.547, -0.132), (2.0736, -2.258e-7)
+    geo = fit_l2_geodesic(p, v)
+    assert geo.family == "timelike"
+    np.testing.assert_allclose(geo.point(0.0), p, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(geo.velocity(0.0), v, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("sgn", [1.0, -1.0])
 def test_slow_null_launch_keeps_its_line(sgn):
     # v1 * v2 underflows to 0 here; the null line x2 = sgn*(x1 - 1) must not flip

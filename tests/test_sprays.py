@@ -14,7 +14,9 @@ from affinesurf.errors import (
     NoMetricError,
     NotNullGeodesicError,
 )
-from affinesurf.lorentz import l2_metric
+from affinesurf.catalog import get_model
+from affinesurf.fields import christoffel_at
+from affinesurf.lorentz import fit_l2_geodesic, l2_metric
 from affinesurf.pseudosphere import minkowski_inner
 from affinesurf.sprays import (
     IsometryReport,
@@ -353,6 +355,16 @@ class TestSpines:
         with pytest.raises(DifferentiationFailureError):
             spray_metric(chart, 0.9, 1e6)
 
+    @pytest.mark.parametrize("kind, s, t", [("horizontal", 0.9, 4.0), ("vertical", 0.3, 2.0)])
+    def test_points_past_the_escape_raise(self, kind, s, t):
+        # the horizontal map is 2 pi-periodic in t: at t = 4 it would land on
+        # another branch with x1 > 0
+        chart = spine_sprays(kind)
+        with pytest.raises(DomainError):
+            chart.point(s, t)
+        with pytest.raises(DifferentiationFailureError):
+            spray_metric(chart, s, t)
+
     def test_vertical_normals_obey_orbit_invariant(self):
         # each normal column lies on x1^2 - x2^2 - 2 x2 cot(s) = -1, a
         # family of disjoint curves, so distinct columns never meet
@@ -363,6 +375,65 @@ class TestSpines:
                 x1, x2 = chart.point(s, t)
                 assert x1 > 0.0
                 assert abs(x1 * x1 - x2 * x2 - 2.0 * x2 / math.tan(s) + 1.0) < 1e-8
+
+
+# the spine frames written out by hand: kind -> (sigma, sigma', xi, xi')
+SPINE_FRAMES = {
+    "vertical": (
+        lambda s: np.array([1.0 / math.cos(s), math.tan(s)]),
+        lambda s: np.array([math.tan(s) / math.cos(s), 1.0 / math.cos(s) ** 2]),
+        lambda s: np.array([1.0 / math.cos(s) ** 2, math.tan(s) / math.cos(s)]),
+        lambda s: np.array([
+            2.0 * math.tan(s) / math.cos(s) ** 2,
+            1.0 / math.cos(s) ** 3 + math.tan(s) ** 2 / math.cos(s),
+        ]),
+    ),
+    "horizontal": (
+        lambda s: np.array([1.0 / math.sinh(s), math.sqrt(2.0) - 1.0 / math.tanh(s)]),
+        lambda s: np.array([-math.cosh(s) / math.sinh(s) ** 2, 1.0 / math.sinh(s) ** 2]),
+        lambda s: np.array([1.0 / math.sinh(s) ** 2, -math.cosh(s) / math.sinh(s) ** 2]),
+        lambda s: np.array([
+            -2.0 * math.cosh(s) / math.sinh(s) ** 3,
+            -1.0 / math.sinh(s) + 2.0 * math.cosh(s) ** 2 / math.sinh(s) ** 3,
+        ]),
+    ),
+}
+
+
+def _spine_s_values(chart, n=9):
+    return np.linspace(chart.s_range[0] + 0.01, chart.s_range[1] - 0.01, n)
+
+
+@pytest.mark.parametrize("kind", sorted(SPINE_FRAMES))
+class TestClosedSpinesAgainstHandFrames:
+    def test_base_curve_and_partials_are_the_hand_frame(self, kind):
+        chart = spine_sprays(kind)
+        sigma, sigma_vel, xi, _ = SPINE_FRAMES[kind]
+        for s in _spine_s_values(chart):
+            np.testing.assert_allclose(chart.sigma(s), sigma(s), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(chart.sigma_vel(s), sigma_vel(s), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(chart.xi(s), xi(s), rtol=0, atol=1e-12)
+
+    def test_hand_normal_is_parallel_along_the_spine(self, kind):
+        chart = spine_sprays(kind)
+        sigma, sigma_vel, xi, xi_vel = SPINE_FRAMES[kind]
+        for s in _spine_s_values(chart):
+            gamma = christoffel_at(get_model("L2").field, sigma(s))
+            cov = xi_vel(s) + np.einsum("ijk,i,j->k", gamma, sigma_vel(s), xi(s))
+            assert float(np.max(np.abs(cov))) < 1e-9
+
+    def test_columns_are_the_fitted_normal_geodesics(self, kind):
+        chart = spine_sprays(kind)
+        sigma, _, xi, _ = SPINE_FRAMES[kind]
+        for s in _spine_s_values(chart):
+            geo = fit_l2_geodesic(sigma(s), xi(s))
+            lo, hi = chart.t_domain(s)
+            for got, want in ((lo, geo.t_min), (hi, geo.t_max)):
+                assert got == want or abs(got - want) < 1e-13
+            for t in np.linspace(max(lo, -5.0) + 1e-3, min(hi, 5.0) - 1e-3, 9):
+                np.testing.assert_allclose(
+                    chart.point(s, t), geo.point(t), rtol=1e-10, atol=0
+                )
 
 
 @pytest.fixture(scope="module")
